@@ -26,11 +26,10 @@ Checks that the optimisation levers actually pay off:
   prefetch-ahead configuration must stay within 5% of the pre-pinned
   scaled() path (>= MIN_SVA_PREFETCH_RATIO) at every SG size, with a
   prefetch hit ratio of at least MIN_PREFETCH_HIT_RATIO.
-* Managed mode: at 2x fast-node oversubscription the better of the
-  two placement policies (aging / EWMA) must reach at least
-  MIN_MANAGED_VS_WORST of static-worst throughput and stay within
-  MIN_MANAGED_VS_BEST of the static-best oracle on at least one
-  access mix.
+* Managed mode: at 2x fast-node oversubscription the aging placement
+  policy must reach at least MIN_MANAGED_VS_WORST of static-worst
+  throughput and stay within MIN_MANAGED_VS_BEST of the static-best
+  oracle on at least one access mix.
 * Tiered memory: pipelined multi-hop eviction must beat sequential
   store-and-forward by MIN_TIERED_PIPELINE_SPEEDUP on every demotion
   burst of at least MIN_TIERED_BURST_PAGES pages, and the capacity
@@ -88,7 +87,7 @@ MIN_PREFETCH_HIT_RATIO = 0.90
 
 # Managed-mode gates (bench_managed).  The daemon starts from an
 # all-on-DDR placement and must discover + move the hot set: at 2x
-# oversubscription the better policy has to clearly beat leaving
+# oversubscription the daemon has to clearly beat leaving
 # everything on DDR.  The static-best bound is looser because that
 # oracle is strictly stronger than any sampler can be: it knows the
 # hot set in advance (no discovery ramp), pays zero sampling tax, and

@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Fail when a MemifConfig field is set by no caller.
+
+Lists the fields of `struct MemifConfig` in src/memif/device.h and
+searches src/, bench/, examples/, tests/ and memifbench/ for an
+assignment `.<field> =` (or a designated initializer). A field nobody
+sets has one value in use; such a knob belongs in the code as a named
+constant beside its reader. The preset functions in device.h count
+only for bool levers: a preset turning a lever on is that lever's use
+(the differential suite checks every lever is on in some preset),
+while a numeric knob needs a caller outside the presets.
+
+Usage (from the repository root, or pass the root as the argument):
+
+    python3 scripts/check_config_knobs.py [repo_root]
+
+Exit status: 0 when every field has a caller, 1 otherwise.
+"""
+
+import os
+import re
+import sys
+
+HEADER = os.path.join("src", "memif", "device.h")
+SEARCH_DIRS = ["src", "bench", "examples", "tests", "memifbench"]
+SOURCE_EXTS = (".h", ".cc", ".cpp")
+
+# `    std::uint32_t name = 4;` / `    RacePolicy name = ...;` / `bool x;`
+FIELD_RE = re.compile(
+    r"^\s+([A-Za-z_][\w:<>]*)\s+([a-z_][a-z0-9_]*)\s*(=[^;]*)?;")
+
+
+def config_parts(header_text):
+    """(fields, preset text): the (type, name) pairs MemifConfig declares
+    before its preset functions, and the text of those functions."""
+    start = header_text.index("struct MemifConfig {")
+    end = header_text.index("static MemifConfig", start)
+    presets_end = header_text.index("\n};", end)
+    fields = []
+    for line in header_text[start:end].splitlines():
+        m = FIELD_RE.match(line)
+        if m:
+            fields.append((m.group(1), m.group(2)))
+    return fields, header_text[end:presets_end]
+
+
+def source_files(root):
+    for d in SEARCH_DIRS:
+        for dirpath, _, names in os.walk(os.path.join(root, d)):
+            for name in names:
+                if name.endswith(SOURCE_EXTS):
+                    path = os.path.join(dirpath, name)
+                    if os.path.relpath(path, root) != HEADER:
+                        yield path
+
+
+def main():
+    root = sys.argv[1] if len(sys.argv) > 1 else "."
+    with open(os.path.join(root, HEADER), encoding="utf-8") as f:
+        fields, preset_text = config_parts(f.read())
+    if not fields:
+        print("check_config_knobs: no MemifConfig fields found")
+        return 1
+
+    text = ""
+    for path in source_files(root):
+        with open(path, encoding="utf-8") as f:
+            text += f.read() + "\n"
+
+    def is_set(name, where):
+        return re.search(r"\." + name + r"\s*=(?!=)", where) is not None
+
+    unset = [name for ftype, name in fields
+             if not is_set(name, text) and
+             not (ftype == "bool" and is_set(name, preset_text))]
+
+    print(f"check_config_knobs: {len(fields)} MemifConfig fields, "
+          f"{len(fields) - len(unset)} set by a caller")
+    if unset:
+        for name in unset:
+            print(f"  FAIL: MemifConfig::{name} is set nowhere outside "
+                  f"the presets; make it a named constant beside its "
+                  f"reader")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -75,7 +75,9 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
     tc_busy_until_[tc] = done_at;
 
     const TransferId id = next_id_++;
-    Flight flight{head, raise_irq};
+    Flight flight;
+    flight.head = head;
+    flight.raise_irq = raise_irq;
     flight.moderated = moderated && raise_irq;
     flight.tc = tc;
     flight.completes_at = done_at;
@@ -88,9 +90,17 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         flight.error =
             faults_->should_fire(kFaultTcError) && !flight.stuck;
         // A lost completion only makes sense in interrupt mode; polled
-        // completions are observed via the pollable flag.
-        flight.lose_irq =
-            faults_->should_fire(kFaultLostIrq) && raise_irq;
+        // completions are observed via the pollable flag. An errored
+        // chain raises the CC error interrupt, not the completion one,
+        // so the lost-completion site never swallows it: the error
+        // must reach the driver while the record still reads kError.
+        // Once purge_finished() drops the record, the stale id would
+        // read as a clean completion, and a drain or watchdog pass
+        // would release a migration whose new frames were never
+        // written. The draw stays unconditional so every seeded fault
+        // plan keeps its RNG stream.
+        flight.lose_irq = faults_->should_fire(kFaultLostIrq) &&
+                          raise_irq && !flight.error;
     }
     // Stepped (SVA-gated) consumption: with zero gate stalls the step
     // events land at exactly the monolithic done_at, so an always-hit
@@ -132,9 +142,10 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
             ++stats_.interrupts_lost;
             return;  // nobody learns of the completion
         }
-        // An error interrupt is never moderated: the CC error line is
-        // separate from the completion line, so time-to-detection of a
-        // TC bus error is identical with moderation on or off.
+        // An error interrupt is never moderated (nor lost, see
+        // start_chain): the CC error line is separate from the
+        // completion line, so time-to-detection of a TC bus error is
+        // identical with moderation on or off.
         if (fl.moderated && !fl.error) {
             hold_completion(id, fl.tc);
             return;

@@ -278,8 +278,8 @@ class Edma3Engine {
 
   private:
     struct Flight {
-        DescIndex head;
-        bool raise_irq;
+        DescIndex head = kNullLink;
+        bool raise_irq = false;
         bool cancelled = false;
         bool completed = false;
         bool error = false;     ///< injected TC bus error

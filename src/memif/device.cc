@@ -25,6 +25,28 @@ namespace {
  *  0xFFFF * 4 KB ceiling (and keep runs page-aligned multiples). */
 constexpr std::uint64_t kMaxCoalescedRunBytes = 64ull << 20;
 
+/** Gang translation cache capacity, in (vma, range) entries. */
+constexpr std::size_t kXlateCacheEntries = 64;
+/** On a translation-cache miss, walk (and cache) this many extra pages
+ *  beyond the requested run — the gang-prefetch of the next ones. */
+constexpr std::uint64_t kXlateGangPrefetch = 8;
+/** Frames parked per bulk-alloc magazine before frees spill to the
+ *  buddy allocator. */
+constexpr std::size_t kMagazineCapacity = 128;
+/** multi_tenant: cap on requests dispatched to the engines at once.
+ *  Further backlog waits in the per-tenant pending lists where the
+ *  WRR can re-rank it; unbounded, overload would drain straight into
+ *  the FIFO TC queues, whose bandwidth sharing ignores tenant weights.
+ *  A bit above the engine's 6 TCs keeps the hardware fed without
+ *  flooding it. */
+constexpr std::size_t kTenantDispatchWindow = 8;
+/** WRR weight of the migration daemon's service class (its movs never
+ *  consume app tenants' quotas). */
+constexpr std::uint32_t kDaemonWeight = 1;
+/** xlate_prefetch_ahead: descriptors walked synchronously at prep;
+ *  also the batch size of each asynchronous prefetch walk. */
+constexpr std::uint32_t kPrefetchWindow = 8;
+
 /** Merge adjacent SG entries whose src AND dst runs are contiguous. */
 std::vector<dma::SgEntry>
 coalesce_sg(const std::vector<dma::SgEntry> &sg)
@@ -62,18 +84,16 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
               config.percpu_rings
                   ? std::min(config.num_submit_cpus, kMaxSubmitRings)
                   : 0),
-      completion_ctl_(kernel.costs(), config.poll_threshold_bytes,
-                      config.ewma_alpha),
+      completion_ctl_(kernel.costs(), config.poll_threshold_bytes),
       completion_event_(kernel.eq()),
       kthread_wq_(kernel.eq()),
       scan_wq_(kernel.eq()),
       daemon_wq_(kernel.eq()),
       staging_wq_(kernel.eq())
 {
-    if (config_.irq_moderation &&
-        (config_.moderation_batch || config_.moderation_holdoff))
-        kernel_.dma().configure_moderation(config_.moderation_batch,
-                                           config_.moderation_holdoff);
+    // A zero batch keeps the cost model's moderation batch size.
+    if (config_.irq_moderation && config_.moderation_holdoff)
+        kernel_.dma().configure_moderation(0, config_.moderation_holdoff);
     // The young-fault hook serves two masters: kRecover's rollback
     // machinery, and (managed mode) the scanner's activity signal — a
     // trap on a scanner-armed page means the working set moved, so a
@@ -87,7 +107,7 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
     }
     if (config_.xlate_cache) {
         xlate_cache_ =
-            std::make_unique<XlateCache>(config_.xlate_cache_entries);
+            std::make_unique<XlateCache>(kXlateCacheEntries);
         proc_.as().set_xlate_invalidate_hook(
             [this](const vm::Vma *vma, std::uint64_t first,
                    std::uint64_t n) {
@@ -100,8 +120,6 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
         // xlate invalidation) were just installed above.
         Tenant t;
         t.proc = &proc_;
-        t.stats.weight = std::max<std::uint32_t>(
-            config_.tenant_default_weight, 1);
         tenants_.push_back(std::move(t));
     }
     kthread_task_ = kthread_loop();
@@ -109,8 +127,7 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
         // The daemon's service class: a WRR participant with its own
         // weight and frame accounting, deliberately NOT in tenants_
         // (its index would collide with a real ASID).
-        daemon_tenant_.stats.weight =
-            std::max<std::uint32_t>(config_.daemon_weight, 1);
+        daemon_tenant_.stats.weight = kDaemonWeight;
         scan_task_ = scan_loop();
         daemon_task_ = daemon_loop();
     }
@@ -225,7 +242,7 @@ MemifDevice::check_quiesced(std::string *why) const
 
     mem::PhysicalMemory &pm = kernel_.phys();
     for (const auto &[key, mag] : magazines_) {
-        if (mag.size() > config_.magazine_capacity)
+        if (mag.size() > kMagazineCapacity)
             fail("magazine (" + std::to_string(key.first) + ", order " +
                  std::to_string(key.second) + ") over capacity");
         for (const mem::Pfn head : mag) {
@@ -373,10 +390,7 @@ MemifDevice::register_tenant(os::Process &proc, std::uint32_t weight)
     const auto asid = static_cast<std::uint32_t>(tenants_.size());
     Tenant t;
     t.proc = &proc;
-    t.stats.weight = weight != 0
-                         ? weight
-                         : std::max<std::uint32_t>(
-                               config_.tenant_default_weight, 1);
+    if (weight != 0) t.stats.weight = weight;
     if (config_.race_policy == RacePolicy::kRecover ||
         config_.auto_migrate) {
         proc.as().set_young_fault_hook(
@@ -385,7 +399,7 @@ MemifDevice::register_tenant(os::Process &proc, std::uint32_t weight)
             });
     }
     if (config_.xlate_cache) {
-        t.xcache = std::make_unique<XlateCache>(config_.xlate_cache_entries);
+        t.xcache = std::make_unique<XlateCache>(kXlateCacheEntries);
         XlateCache *cache = t.xcache.get();
         proc.as().set_xlate_invalidate_hook(
             [this, cache](const vm::Vma *vma, std::uint64_t first,
@@ -1058,7 +1072,7 @@ MemifDevice::magazine_free(mem::Pfn head, unsigned order,
     const sim::CostModel &cm = kernel_.costs();
     std::vector<mem::Pfn> &mag = magazines_[{kernel_.phys().node_of(head),
                                              order}];
-    if (mag.size() < config_.magazine_capacity) {
+    if (mag.size() < kMagazineCapacity) {
         MEMIF_ASSERT(kernel_.phys().frame(head).rmaps.empty(),
                      "parking a still-mapped frame");
         mag.push_back(head);
@@ -1164,12 +1178,10 @@ void
 MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
                                    std::uint64_t batch)
 {
-    const std::uint32_t w =
-        std::max<std::uint32_t>(config_.prefetch_window, 1);
-    const std::uint64_t lo = batch * w;
+    const std::uint64_t lo = batch * kPrefetchWindow;
     if (lo >= fl->slots.size()) return;
     const std::uint64_t hi =
-        std::min<std::uint64_t>(lo + w, fl->slots.size());
+        std::min<std::uint64_t>(lo + kPrefetchWindow, fl->slots.size());
     const sim::CostModel &cm = kernel_.costs();
     const vm::Vma *const svma = fl->vma;
     const vm::Vma *const dvma = fl->dst_vma;
@@ -1253,17 +1265,16 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
     const sim::CostModel &cm = kernel_.costs();
     const sim::SimTime now = kernel_.eq().now();
     XlateSlot &slot = fl->slots[idx];
-    const std::uint32_t w =
-        std::max<std::uint32_t>(config_.prefetch_window, 1);
 
     // Keep the prefetcher running ahead of the consumption stream:
     // entering a new window triggers the walk two windows out, so the
     // walker (~page_walk_adjacent per page) stays ahead of the copy
     // stream (~dma_stream_time per page) after the first window.
-    if (config_.xlate_prefetch_ahead && idx % w == 0) {
-        const std::uint64_t target = idx / w + 2;
+    if (config_.xlate_prefetch_ahead && idx % kPrefetchWindow == 0) {
+        const std::uint64_t target = idx / kPrefetchWindow + 2;
         while (fl->next_prefetch_batch <= target &&
-               fl->next_prefetch_batch * w < fl->slots.size()) {
+               fl->next_prefetch_batch * kPrefetchWindow <
+                   fl->slots.size()) {
             issue_stream_prefetch(fl, fl->next_prefetch_batch);
             ++fl->next_prefetch_batch;
         }
@@ -1545,7 +1556,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             // is down here anyway (clamped to the Vma).
             const std::uint64_t room = lr.vma->num_pages() - first;
             walk_pages = std::min<std::uint64_t>(
-                lr.pages + config_.xlate_prefetch, room);
+                lr.pages + kXlateGangPrefetch, room);
             stats_.xlate_gang_prefetched += walk_pages - lr.pages;
         }
         const vm::WalkCost wc =
@@ -1995,10 +2006,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             // beyond it is walked by asynchronous prefetch events that
             // run ahead of the consumption stream (two windows of
             // lead, sustained by the gate as the stream advances).
-            const std::uint32_t w =
-                std::max<std::uint32_t>(config_.prefetch_window, 1);
             const std::uint64_t hi =
-                std::min<std::uint64_t>(w, fl->slots.size());
+                std::min<std::uint64_t>(kPrefetchWindow, fl->slots.size());
             const XlateSlot &tail = fl->slots[hi - 1];
             const std::uint64_t s0 = src_vma->page_index(req.src_base);
             const std::uint64_t sn =
@@ -2127,8 +2136,8 @@ MemifDevice::arm_watchdog(const InFlightPtr &fl)
     const sim::SimTime done = kernel_.dma().completion_time(fl->tid);
     const sim::Duration remaining = done > now ? done - now : 0;
     const auto padded = static_cast<sim::Duration>(
-        static_cast<double>(remaining) * config_.watchdog_margin);
-    const sim::SimTime deadline = now + padded + config_.watchdog_slack;
+        static_cast<double>(remaining) * kWatchdogMargin);
+    const sim::SimTime deadline = now + padded + kWatchdogSlack;
     // The event must not keep the device or the record alive, and the
     // normal completion path cancels it before it can run — a cancelled
     // event neither executes nor advances virtual time, so supervision
@@ -2407,7 +2416,7 @@ MemifDevice::handle_dma_failure(InFlightPtr fl, ExecContext ctx,
         ++stats_.dma_retries;
         kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaRetry,
                                 ctx, fl->req_idx);
-        const sim::Duration backoff = config_.dma_retry_backoff
+        const sim::Duration backoff = kDmaRetryBackoff
                                       << (fl->dma_attempts - 1);
         co_await sim::Delay{kernel_.eq(), backoff};
         if (fl->aborted || stopping_) co_return;
@@ -2801,9 +2810,7 @@ MemifDevice::kthread_loop()
         // so overload must queue there, not in the FIFO TC queues.
         // Completion interrupts wake the loop as slots free up.
         const bool gated = config_.multi_tenant &&
-                           config_.tenant_dispatch_window != 0 &&
-                           in_flight_.size() >=
-                               config_.tenant_dispatch_window;
+                           in_flight_.size() >= kTenantDispatchWindow;
         const bool got =
             !gated && next_request(&next, /*take_staging=*/true);
         cpu.charge(ExecContext::kKthread, Op::kQueue, cm.queue_op);
@@ -3024,9 +3031,7 @@ MemifDevice::ioctl_mov_one()
     // kicking tenant could push past the WRR's standing queue. Leave
     // the request deposited; the worker serves it as slots free up.
     const bool gated = config_.multi_tenant &&
-                       config_.tenant_dispatch_window != 0 &&
-                       in_flight_.size() >=
-                           config_.tenant_dispatch_window;
+                       in_flight_.size() >= kTenantDispatchWindow;
     const bool got = !gated && next_request(&next, /*take_staging=*/false);
     kernel_.cpu().charge(ExecContext::kSyscall, Op::kQueue,
                          kernel_.costs().queue_op);

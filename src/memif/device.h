@@ -31,7 +31,7 @@
  *    must run in the kernel thread (never in the interrupt handler).
  *
  * DMA error recovery: every interrupt-mode transfer is supervised by a
- * watchdog armed at its predicted duration × watchdog_margin (+ slack);
+ * watchdog armed at its predicted duration × a fixed margin (+ slack);
  * polled transfers are supervised inline by the kernel thread's wait.
  * A TC bus error or a watchdog expiry first retries the transfer (up to
  * dma_max_retries, exponential backoff), then degrades to a CPU
@@ -100,18 +100,13 @@ struct MemifConfig {
     bool allow_file_backed = false;
     /**
      * @name DMA error recovery.
-     * The watchdog deadline is the transfer's remaining predicted time
-     * × margin, plus a fixed slack absorbing interrupt latency. On a
-     * TC error or expiry the driver retries with exponential backoff
-     * (retry n sleeps backoff << (n-1)), then falls back to a CPU
-     * byte-copy; with the fallback disabled the request fails instead
-     * (migrations roll back to their old frames).
+     * On a TC error or watchdog expiry the driver retries up to
+     * dma_max_retries times with exponential backoff, then falls back
+     * to a CPU byte-copy; with the fallback disabled the request fails
+     * instead (migrations roll back to their old frames).
      */
     ///@{
-    double watchdog_margin = 4.0;
-    sim::Duration watchdog_slack = sim::microseconds(20);
     std::uint32_t dma_max_retries = 3;
-    sim::Duration dma_retry_backoff = sim::microseconds(5);
     bool cpu_copy_fallback = true;
     ///@}
     /**
@@ -142,12 +137,12 @@ struct MemifConfig {
      */
     ///@{
     /** Hold completion IRQs in the engine's per-TC moderation batch:
-     *  one coalesced IRQ retires up to moderation_batch chains (or
-     *  whatever finished within moderation_holdoff of the first). */
+     *  one coalesced IRQ retires up to the cost model's
+     *  dma_moderation_batch chains (or whatever finished within the
+     *  holdoff of the first). */
     bool irq_moderation = false;
-    /** Overrides for the cost model's moderation parameters (0 = keep
-     *  the cost-model default). */
-    std::uint32_t moderation_batch = 0;
+    /** Override for the cost model's moderation holdoff (0 = keep the
+     *  cost-model default). */
     sim::Duration moderation_holdoff = 0;
     /** Multi-request completion drain: the first handler of a coalesced
      *  IRQ claims every completed interrupt-mode transfer and retires
@@ -159,8 +154,6 @@ struct MemifConfig {
      *  learns per-size completion times online and switches each
      *  transfer between polled / interrupt / moderated-interrupt. */
     bool adaptive_polling = false;
-    /** Smoothing factor for the controller's EWMAs. */
-    double ewma_alpha = 0.25;
     ///@}
 
     /**
@@ -171,13 +164,9 @@ struct MemifConfig {
     ///@{
     /** Gang translation cache: cache (vma, range) -> walk results in
      *  the driver, invalidated through the AddressSpace hook, so
-     *  repeated moves over hot regions skip the radix walk. */
+     *  repeated moves over hot regions skip the radix walk. A miss
+     *  also walks (and caches) a few pages past the requested run. */
     bool xlate_cache = false;
-    /** On a miss, walk (and cache) this many extra pages beyond the
-     *  requested run — the gang-prefetch of the next translations. */
-    std::uint32_t xlate_prefetch = 8;
-    /** Cache capacity in (vma, range) entries. */
-    std::uint32_t xlate_cache_entries = 64;
     /** Bulk frame allocation: fill a per-(node, order) free-frame
      *  magazine (Linux pcp-list analogue) with one Buddy::allocate_bulk
      *  call per refill instead of one allocator round trip per page;
@@ -186,8 +175,6 @@ struct MemifConfig {
     /** Blocks fetched per magazine refill (floor; a gang needing more
      *  gets exactly what it needs). */
     std::uint32_t magazine_refill = 32;
-    /** Frames parked per magazine before frees spill to the buddy. */
-    std::uint32_t magazine_capacity = 128;
     /** Per-CPU submission rings: one red-blue deposit ring per
      *  simulated CPU plus a sharded flight table, so concurrent
      *  clients never contend on submit. */
@@ -216,16 +203,6 @@ struct MemifConfig {
     /** Bound on a tenant's dispatched-but-unserved queue, scaled by its
      *  weight; excess is shed with kNoSpace. 0 = unbounded. */
     std::uint32_t tenant_queue_depth = 64;
-    /** WRR weight given to tenants registered without an explicit one
-     *  (and to the owning process, tenant 0). */
-    std::uint32_t tenant_default_weight = 1;
-    /** Cap on requests dispatched to the engines at once; further
-     *  backlog waits in the per-tenant pending lists where the WRR
-     *  can re-rank it. 0 = unbounded — overload then drains straight
-     *  into the FIFO TC queues, whose bandwidth sharing ignores
-     *  tenant weights. A bit above the engine's 6 TCs keeps the
-     *  hardware fed without flooding it. */
-    std::uint32_t tenant_dispatch_window = 8;
     ///@}
 
     /**
@@ -235,7 +212,7 @@ struct MemifConfig {
      */
     ///@{
     /** Translation prefetch ahead of TC consumption: walk only the
-     *  first prefetch_window descriptors synchronously at chain prep,
+     *  first window of descriptors synchronously at chain prep,
      *  then issue asynchronous translation-prefetch walks (EventQueue
      *  events at page-walk cost) that run ahead of the consumption
      *  stream, so walks overlap in-flight DMA instead of serialising
@@ -243,9 +220,6 @@ struct MemifConfig {
      *  it outruns the prefetcher. Effective on SVA-routed streams
      *  (sva_dma), where translation actually happens at consumption. */
     bool xlate_prefetch_ahead = false;
-    /** Descriptors walked synchronously at prep; also the batch size
-     *  of each asynchronous prefetch walk. */
-    std::uint32_t prefetch_window = 8;
     /** SVA-routed DMA (IOMMU-SVA framing): replication streams drop
      *  the pre-pinned physical SG contract — the engine resolves each
      *  descriptor through the per-tenant XlateCache / page walk at
@@ -272,8 +246,6 @@ struct MemifConfig {
     ///@{
     /** Master switch for the scan + daemon kthreads. */
     bool auto_migrate = false;
-    /** Placement policy sub-lever (aging vs. EWMA; heat_policy.h). */
-    MigratePolicy migrate_policy = MigratePolicy::kAging;
     /** Scan epoch: the interval between heat-sampling passes. */
     sim::Duration heat_scan_interval = sim::microseconds(500);
     /** Per-bucket adaptive dormancy (DAMON-style): after this many
@@ -287,26 +259,11 @@ struct MemifConfig {
     /** Longest sleep (in scan epochs) a settled bucket may take; also
      *  bounds how stale a settled verdict can get. */
     std::uint32_t heat_dormant_cap = 16;
-    /** Pages per heat bucket (the migration unit). */
-    std::uint32_t heat_bucket_pages = 8;
     /** Per-epoch cap on daemon-migrated pages (promotions+demotions). */
     std::uint32_t migrate_pages_per_epoch = 64;
-    /** kAging promote/demote thresholds (hysteresis band between). */
+    /** Aging promote threshold (heat_policy.h); buckets demote below
+     *  a fixed 0x10, and the gap between is the hysteresis band. */
     std::uint8_t heat_promote_threshold = 0x60;
-    std::uint8_t heat_demote_threshold = 0x10;
-    /** kEwma decay factor and hot-enter / cold-exit bands. */
-    double heat_ewma_alpha = 0.4;
-    double heat_hot_enter = 0.6;
-    double heat_cold_exit = 0.2;
-    /** WRR weight of the daemon's dedicated service class (its movs
-     *  never consume app tenants' quotas). */
-    std::uint32_t daemon_weight = 1;
-    /** Engine-backlog backoff: the daemon stops issuing when this many
-     *  requests are already in flight (so it never starves apps). */
-    std::uint32_t daemon_backlog_limit = 6;
-    /** Scanner parks after this many consecutive epochs with no
-     *  accessed page and no daemon work (woken by device activity). */
-    std::uint32_t scan_idle_park_epochs = 2;
     ///@}
 
     /**
@@ -318,36 +275,14 @@ struct MemifConfig {
      * the non-adjacent SRAM/far pair is *chained*: staged through DDR
      * in bounded batches, each hop its own DMA chain with its own
      * retry / CPU-fallback ladder, behind blocking migration PTEs.
-     * pipelined_eviction lets up to tiered_max_batches batches run
-     * concurrently with their hops out of order across TCs (batch
-     * k+1's DDR→far hop overlaps batch k's SRAM→DDR hop); off, the
-     * chain runs store-and-forward, one stage at a time.
+     * pipelined_eviction lets several batches run concurrently with
+     * their hops out of order across TCs (batch k+1's DDR→far hop
+     * overlaps batch k's SRAM→DDR hop); off, the chain runs
+     * store-and-forward, one stage at a time.
      */
     ///@{
     bool tiered_memory = false;
     bool pipelined_eviction = false;
-    /** Pages (of the request's order) per chained batch — the
-     *  pipelining grain. */
-    std::uint32_t tiered_batch_pages = 16;
-    /** Concurrent in-flight batches per chain (bounds staging demand
-     *  and the out-of-order window). */
-    std::uint32_t tiered_max_batches = 4;
-    /** Cap on middle-tier staging frames (4 KB) leased across all
-     *  chains; a batch that cannot get its frames waits for a peer's
-     *  release. Single batches larger than the cap borrow past it
-     *  alone (progress guarantee). */
-    std::uint32_t staging_pool_pages = 128;
-    /** Third hysteresis band for the three-way hot/warm/cold daemon
-     *  verdict (tiered_memory only; the two-way bands above are
-     *  untouched). kAging: a bucket enters cold at/below
-     *  heat_cold_threshold and leaves at/above heat_warm_threshold;
-     *  kEwma: enters at/below heat_far_enter, leaves at/above
-     *  heat_far_exit. Cold buckets demote to the far tier; warm ones
-     *  stop at DDR. */
-    std::uint8_t heat_cold_threshold = 0x02;
-    std::uint8_t heat_warm_threshold = 0x08;
-    double heat_far_enter = 0.05;
-    double heat_far_exit = 0.12;
     ///@}
 
     /**
@@ -457,6 +392,8 @@ struct MemifConfig {
 
 /** Per-tenant accounting (multi_tenant lever; all zero otherwise). */
 struct TenantStats {
+    /** WRR weight; tenants registered without one (and the owning
+     *  process, tenant 0) weigh 1. */
     std::uint32_t weight = 1;
     std::uint64_t admitted = 0;       ///< requests past admission
     std::uint64_t completed = 0;      ///< terminal notifications
@@ -638,8 +575,8 @@ class MemifDevice {
      * tenant's page tables, quotas, and WRR weight.
      */
     ///@{
-    /** Register @p proc as a tenant; @p weight 0 takes the config
-     *  default. Returns the new ASID. */
+    /** Register @p proc as a tenant; @p weight 0 takes the default
+     *  weight of 1. Returns the new ASID. */
     std::uint32_t register_tenant(os::Process &proc,
                                   std::uint32_t weight = 0);
     /** Retune one tenant's WRR weight (takes effect on the next pick). */
@@ -748,6 +685,16 @@ class MemifDevice {
 
   private:
     friend class MemifUser;
+
+    /** @name DMA supervision (shared by flat transfers and chain hops).
+     *  The watchdog deadline is the transfer's remaining predicted time
+     *  × kWatchdogMargin plus kWatchdogSlack, which absorbs interrupt
+     *  latency; retry n sleeps kDmaRetryBackoff << (n-1). */
+    ///@{
+    static constexpr double kWatchdogMargin = 4.0;
+    static constexpr sim::Duration kWatchdogSlack = sim::microseconds(20);
+    static constexpr sim::Duration kDmaRetryBackoff = sim::microseconds(5);
+    ///@}
 
     /** One PTE mapping a migrating page (shared pages have several). */
     struct Mapping {

@@ -1,16 +1,26 @@
 #include "memif/heat_policy.h"
 
-#include "sim/log.h"
-
 namespace memif::core {
+
+namespace {
+
+/** Demote when the aging vector falls strictly below this value
+ *  (idle for four epochs). */
+constexpr std::uint8_t kAgingDemoteThreshold = 0x10;
+/** Third band (tiered_memory): enter the cold set at or below this
+ *  aging value... */
+constexpr std::uint8_t kAgingColdEnter = 0x02;
+/** ...and leave it at or above this one. */
+constexpr std::uint8_t kAgingColdExit = 0x08;
+/** Hot-state flips closer than this many epochs count as ping-pong. */
+constexpr std::uint32_t kPingPongWindow = 4;
+
+}  // namespace
 
 RegionHeat::RegionHeat(const HeatConfig &config, std::uint64_t num_pages)
     : config_(config), num_pages_(num_pages)
 {
-    MEMIF_ASSERT(config_.bucket_pages > 0, "bucket_pages must be positive");
-    const std::uint64_t n =
-        (num_pages + config_.bucket_pages - 1) / config_.bucket_pages;
-    buckets_.resize(n);
+    buckets_.resize((num_pages + kHeatBucketPages - 1) / kHeatBucketPages);
 }
 
 std::uint32_t
@@ -18,8 +28,8 @@ RegionHeat::pages_in(std::uint64_t bucket) const
 {
     const std::uint64_t first = first_page(bucket);
     const std::uint64_t left = num_pages_ - first;
-    return left < config_.bucket_pages ? static_cast<std::uint32_t>(left)
-                                       : config_.bucket_pages;
+    return left < kHeatBucketPages ? static_cast<std::uint32_t>(left)
+                                   : kHeatBucketPages;
 }
 
 void
@@ -28,30 +38,19 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
 {
     HeatBucket &b = buckets_[bucket];
     const bool any = sampled > 0 && accessed > 0;
-    const double fraction =
-        sampled > 0 ? static_cast<double>(accessed) / sampled : 0.0;
 
     b.age = static_cast<std::uint8_t>((b.age >> 1) | (any ? 0x80 : 0));
-    b.rate = config_.ewma_alpha * fraction +
-             (1.0 - config_.ewma_alpha) * b.rate;
     if (any) ++b.accessed_epochs;
     if (sampled > 0 && written > 0) ++b.written_epochs;
 
     bool hot = b.hot;
-    if (config_.policy == MigratePolicy::kAging) {
-        if (b.age >= config_.aging_promote_threshold)
-            hot = true;
-        else if (b.age < config_.aging_demote_threshold)
-            hot = false;
-        // In between: keep the previous classification (hysteresis).
-    } else {
-        if (b.rate >= config_.ewma_hot_enter)
-            hot = true;
-        else if (b.rate <= config_.ewma_cold_exit)
-            hot = false;
-    }
+    if (b.age >= config_.aging_promote_threshold)
+        hot = true;
+    else if (b.age < kAgingDemoteThreshold)
+        hot = false;
+    // In between: keep the previous classification (hysteresis).
     if (hot != b.hot) {
-        if (b.epochs_since_flip < config_.pingpong_window) ++ping_pongs_;
+        if (b.epochs_since_flip < kPingPongWindow) ++ping_pongs_;
         b.hot = hot;
         b.epochs_since_flip = 0;
     } else if (b.epochs_since_flip < ~0u) {
@@ -62,17 +61,10 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
     // hysteresis at the bottom of the scale. A hot bucket is never
     // cold, whatever the thresholds say — the bands must not overlap.
     bool cold = b.cold;
-    if (config_.policy == MigratePolicy::kAging) {
-        if (b.age <= config_.aging_cold_enter)
-            cold = true;
-        else if (b.age >= config_.aging_cold_exit)
-            cold = false;
-    } else {
-        if (b.rate <= config_.ewma_far_enter)
-            cold = true;
-        else if (b.rate >= config_.ewma_far_exit)
-            cold = false;
-    }
+    if (b.age <= kAgingColdEnter)
+        cold = true;
+    else if (b.age >= kAgingColdExit)
+        cold = false;
     b.cold = cold && !b.hot;
 }
 
@@ -99,20 +91,13 @@ RegionHeat::classify(std::uint64_t bucket, bool resident_fast) const
     return HeatVerdict::kStay;
 }
 
-double
-RegionHeat::score(const HeatBucket &b) const
-{
-    if (config_.policy == MigratePolicy::kAging)
-        return static_cast<double>(b.age) / 255.0;
-    return b.rate > 1.0 ? 1.0 : b.rate;
-}
-
 std::vector<std::uint64_t>
 RegionHeat::histogram() const
 {
     std::vector<std::uint64_t> h(8, 0);
     for (const HeatBucket &b : buckets_) {
-        auto octile = static_cast<std::size_t>(score(b) * 8.0);
+        // score = age / 255, binned into octiles.
+        auto octile = static_cast<std::size_t>(b.age / 255.0 * 8.0);
         if (octile > 7) octile = 7;
         ++h[octile];
     }

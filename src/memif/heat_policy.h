@@ -1,6 +1,6 @@
 /**
  * @file
- * Heat accounting and placement policies for memif-managed mode.
+ * Heat accounting and the placement policy for memif-managed mode.
  *
  * The scan kthread folds one sample per page bucket per epoch (from
  * the young/dirty bits it test-and-rearms); the migration daemon asks
@@ -8,21 +8,12 @@
  * those samples — no simulator, device or clock dependencies — so the
  * decay math and hysteresis bands are unit-testable in isolation.
  *
- * Two policies ship behind MemifConfig::migrate_policy:
- *
- *  - kAging: LRU-ish aging vector per bucket. Each epoch shifts the
- *    vector right and ORs the new sample into the MSB, so recency
- *    dominates and one idle epoch halves a bucket's score. Promote at
- *    or above aging_promote_threshold, demote strictly below
- *    aging_demote_threshold; the gap between the two thresholds is the
- *    hysteresis band.
- *
- *  - kEwma: decayed access-rate estimate. rate' = alpha * sample +
- *    (1 - alpha) * rate with sample = accessed fraction of the
- *    bucket's sampled pages. A bucket turns hot when the rate crosses
- *    ewma_hot_enter from below and turns cold only when it falls to
- *    ewma_cold_exit — the band between the two absorbs oscillating
- *    patterns (no ping-pong on a 50% duty cycle).
+ * The policy is an LRU-ish aging vector per bucket. Each epoch shifts
+ * the vector right and ORs the new sample into the MSB, so recency
+ * dominates and one idle epoch halves a bucket's score. Promote at or
+ * above aging_promote_threshold, demote strictly below
+ * kAgingDemoteThreshold; the gap between the two thresholds is the
+ * hysteresis band.
  */
 #pragma once
 
@@ -31,41 +22,13 @@
 
 namespace memif::core {
 
-/** Placement policy selector (MemifConfig::migrate_policy sub-lever). */
-enum class MigratePolicy : std::uint8_t {
-    kAging = 0,  ///< aging bit-vector, recency-weighted
-    kEwma = 1,   ///< decayed frequency estimate with hysteresis bands
-};
+/** Pages aggregated into one heat bucket (the migration unit). */
+inline constexpr std::uint32_t kHeatBucketPages = 8;
 
 /** Tuning knobs for RegionHeat (copied from MemifConfig at attach). */
 struct HeatConfig {
-    MigratePolicy policy = MigratePolicy::kAging;
-    /** Pages aggregated into one heat bucket (the migration unit). */
-    std::uint32_t bucket_pages = 8;
-    /** kAging: promote when the aging vector reaches this value. */
+    /** Promote when the aging vector reaches this value. */
     std::uint8_t aging_promote_threshold = 0x60;
-    /** kAging: demote when the aging vector falls strictly below. */
-    std::uint8_t aging_demote_threshold = 0x10;
-    /** kEwma: decay factor applied to the new sample. */
-    double ewma_alpha = 0.4;
-    /** kEwma: rate at or above which a bucket enters the hot set. */
-    double ewma_hot_enter = 0.6;
-    /** kEwma: rate at or below which a bucket leaves the hot set. */
-    double ewma_cold_exit = 0.2;
-    /** Hot-state flips closer than this many epochs count as ping-pong. */
-    std::uint32_t pingpong_window = 4;
-    // Third band (tiered_memory): the cold set, placed on the far
-    // tier. Its hysteresis is independent of the hot band's — a bucket
-    // is cold only while far below the warm floor, so the warm middle
-    // band (neither hot nor cold) rests on DDR.
-    /** kAging: enter the cold set at or below this aging value. */
-    std::uint8_t aging_cold_enter = 0x02;
-    /** kAging: leave the cold set at or above this aging value. */
-    std::uint8_t aging_cold_exit = 0x08;
-    /** kEwma: rate at or below which a bucket enters the cold set. */
-    double ewma_far_enter = 0.05;
-    /** kEwma: rate at or above which a bucket leaves the cold set. */
-    double ewma_far_exit = 0.12;
 };
 
 /** What the daemon should do with one bucket this epoch. */
@@ -81,8 +44,7 @@ enum class TierVerdict : std::uint8_t { kStay = 0, kToFast, kToSlow, kToFar };
 
 /** Per-bucket decayed heat state. */
 struct HeatBucket {
-    std::uint8_t age = 0;          ///< kAging recency vector (MSB newest)
-    double rate = 0.0;             ///< kEwma access-rate estimate
+    std::uint8_t age = 0;          ///< recency vector (MSB newest)
     bool hot = false;              ///< hysteresis state (classification)
     /** Third-band hysteresis state. Maintained by every fold() but only
      *  consulted by classify_tiered(), so two-tier callers are
@@ -96,9 +58,8 @@ struct HeatBucket {
 };
 
 /**
- * Heat state for one managed region: a HeatBucket per bucket_pages
- * run of pages, plus the fold/classify machinery shared by both
- * policies.
+ * Heat state for one managed region: a HeatBucket per
+ * kHeatBucketPages run of pages, plus the fold/classify machinery.
  */
 class RegionHeat {
   public:
@@ -107,12 +68,12 @@ class RegionHeat {
     std::uint64_t num_buckets() const { return buckets_.size(); }
     std::uint64_t bucket_of(std::uint64_t page_idx) const
     {
-        return page_idx / config_.bucket_pages;
+        return page_idx / kHeatBucketPages;
     }
     /** First page index of @p bucket. */
     std::uint64_t first_page(std::uint64_t bucket) const
     {
-        return bucket * config_.bucket_pages;
+        return bucket * kHeatBucketPages;
     }
     /** Number of pages in @p bucket (the last one may be short). */
     std::uint32_t pages_in(std::uint64_t bucket) const;
@@ -157,24 +118,20 @@ class RegionHeat {
     void reset_cold(std::uint64_t bucket)
     {
         HeatBucket &b = buckets_[bucket];
-        if (!b.hot) {
-            b.age = 0;
-            b.rate = 0.0;
-        }
+        if (!b.hot) b.age = 0;
     }
 
-    /** Hot-state flips inside pingpong_window epochs (stability metric). */
+    /** Hot-state flips within four epochs of the previous flip
+     *  (stability metric). */
     std::uint64_t ping_pongs() const { return ping_pongs_; }
 
     /**
      * Histogram of the current heat distribution: bucket counts in 8
-     * score octiles (score = age/255 or EWMA rate, by policy).
+     * score octiles (score = age/255).
      */
     std::vector<std::uint64_t> histogram() const;
 
   private:
-    double score(const HeatBucket &b) const;
-
     HeatConfig config_;
     std::uint64_t num_pages_ = 0;
     std::vector<HeatBucket> buckets_;

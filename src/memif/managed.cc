@@ -12,7 +12,7 @@
  * migration requests: demotions first (freeing fast-node frames for
  * the promotions that follow), bounded per epoch by
  * migrate_pages_per_epoch and backed off whenever the engine backlog
- * reaches daemon_backlog_limit, so background placement can never
+ * reaches kDaemonBacklogLimit, so background placement can never
  * starve application traffic — daemon movs also compete through the
  * WRR at their own weight rather than jumping the queue.
  *
@@ -43,6 +43,13 @@ namespace {
 /** Epochs a bucket sits out after its daemon mov failed (or the fast
  *  node could not fit its promotion). */
 constexpr std::uint32_t kDaemonFailCooldown = 8;
+/** Engine-backlog backoff: the daemon stops issuing when this many
+ *  requests are already in flight or pending (so it never starves
+ *  apps). */
+constexpr std::size_t kDaemonBacklogLimit = 6;
+/** The scanner parks after this many consecutive epochs with no
+ *  accessed page and no daemon work (woken by device activity). */
+constexpr std::uint32_t kScanIdleParkEpochs = 2;
 
 }  // namespace
 
@@ -50,17 +57,7 @@ HeatConfig
 MemifDevice::heat_config() const
 {
     HeatConfig hc;
-    hc.policy = config_.migrate_policy;
-    hc.bucket_pages = std::max<std::uint32_t>(config_.heat_bucket_pages, 1);
     hc.aging_promote_threshold = config_.heat_promote_threshold;
-    hc.aging_demote_threshold = config_.heat_demote_threshold;
-    hc.ewma_alpha = config_.heat_ewma_alpha;
-    hc.ewma_hot_enter = config_.heat_hot_enter;
-    hc.ewma_cold_exit = config_.heat_cold_exit;
-    hc.aging_cold_enter = config_.heat_cold_threshold;
-    hc.aging_cold_exit = config_.heat_warm_threshold;
-    hc.ewma_far_enter = config_.heat_far_enter;
-    hc.ewma_far_exit = config_.heat_far_exit;
     return hc;
 }
 
@@ -352,7 +349,7 @@ MemifDevice::scan_loop()
     for (;;) {
         if (stopping_) co_return;
         if (managed_.empty() ||
-            scan_quiet_epochs_ >= config_.scan_idle_park_epochs) {
+            scan_quiet_epochs_ >= kScanIdleParkEpochs) {
             // Nothing is moving: park until device activity (an app
             // completion, a trap on a scanner-armed page, or a new
             // managed region) says the working set is live again.
@@ -457,7 +454,7 @@ MemifDevice::daemon_issue_pass()
                     return;  // next epoch refills the budget
                 }
                 if (in_flight_.size() + daemon_tenant_.pending.size() >=
-                    config_.daemon_backlog_limit) {
+                    kDaemonBacklogLimit) {
                     // Engine saturated with (mostly app) work: back
                     // off entirely; a completion wakes us again.
                     ++stats_.daemon_busy_backoffs;

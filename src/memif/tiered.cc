@@ -6,7 +6,7 @@
  * the middle (DDR) tier: the request is split into bounded batches,
  * each batch leases staging frames from a capped pool, copies
  * old→staging (hop 1) then staging→new (hop 2), and returns the
- * frames. With pipelined_eviction on, up to tiered_max_batches batches
+ * frames. With pipelined_eviction on, up to kMaxBatches batches
  * are in flight at once and their stages execute out of order across
  * the engine's transfer controllers — batch k+1's fast hop overlaps
  * batch k's slow far hop — so a large eviction approaches the far
@@ -35,6 +35,16 @@ using sim::ExecContext;
 using sim::Op;
 
 namespace {
+
+/** Pages (of the request's order) per chained batch — the pipelining
+ *  grain. */
+constexpr std::uint32_t kBatchPages = 16;
+/** pipelined_eviction: concurrent in-flight batches per chain (bounds
+ *  staging demand and the out-of-order window). */
+constexpr std::uint32_t kMaxBatches = 4;
+/** Cap on middle-tier staging frames (4 KB) leased across all chains;
+ *  a batch that cannot get its frames waits for a peer's release. */
+constexpr std::uint64_t kStagingPoolPages = 128;
 
 /** Append a run to @p sg, merging into the previous entry when both
  *  sides are contiguous (bulk-allocated staging frames usually are —
@@ -95,7 +105,7 @@ MemifDevice::staging_acquire(mem::NodeId mid, unsigned order,
     // guarantee); everyone else waits for a peer's release.
     bool waited = false;
     while (staging_frames_out_ != 0 &&
-           staging_frames_out_ + frames > config_.staging_pool_pages) {
+           staging_frames_out_ + frames > kStagingPoolPages) {
         if (!waited) {
             waited = true;
             ++stats_.staging_pool_waits;
@@ -195,9 +205,9 @@ MemifDevice::run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
         const sim::Duration remaining =
             quote > started ? quote - started : 0;
         const auto padded = static_cast<sim::Duration>(
-            static_cast<double>(remaining) * config_.watchdog_margin);
+            static_cast<double>(remaining) * kWatchdogMargin);
         const sim::EventQueue::EventId timer = kernel_.eq().schedule_at(
-            started + padded + config_.watchdog_slack,
+            started + padded + kWatchdogSlack,
             [done] { done->set(); });
         co_await done->wait();
         kernel_.eq().cancel(timer);
@@ -237,8 +247,8 @@ MemifDevice::run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
         if (attempt <= config_.dma_max_retries) {
             ++stats_.hop_retries;
             ++stats_.dma_retries;
-            co_await sim::Delay{kernel_.eq(), config_.dma_retry_backoff
-                                                 << (attempt - 1)};
+            co_await sim::Delay{kernel_.eq(),
+                                kDmaRetryBackoff << (attempt - 1)};
             continue;
         }
         if (config_.cpu_copy_fallback) {
@@ -316,20 +326,15 @@ MemifDevice::run_chain_batch(InFlightPtr fl, ChainStatePtr cs,
 sim::Task
 MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
 {
-    const std::uint32_t bp =
-        std::max<std::uint32_t>(config_.tiered_batch_pages, 1);
-    const std::uint32_t nb = (fl->num_pages + bp - 1) / bp;
+    const std::uint32_t nb = (fl->num_pages + kBatchPages - 1) / kBatchPages;
     auto cs = std::make_shared<ChainState>(kernel_.eq());
     cs->batches_left = nb;
-    // Pipelined: keep up to tiered_max_batches batches in flight; their
+    // Pipelined: keep up to kMaxBatches batches in flight; their
     // hop stages land on whichever TC frees up first, so batch k+1's
     // hop 1 runs while batch k's hop 2 is still copying. Sequential
     // (store-and-forward, the bench baseline): a window of one batch,
     // each batch's hops in series.
-    const std::uint32_t window =
-        config_.pipelined_eviction
-            ? std::max<std::uint32_t>(config_.tiered_max_batches, 1)
-            : 1;
+    const std::uint32_t window = config_.pipelined_eviction ? kMaxBatches : 1;
     // Batch frames are owned here: destroying the master (device
     // teardown destroys chain_tasks_) destroys every suspended batch
     // and hop frame with it, so nothing kernel-owned can resume into a
@@ -340,9 +345,9 @@ MemifDevice::run_chain(InFlightPtr fl, mem::NodeId mid)
         while (launched - (nb - cs->batches_left) >= window)
             co_await cs->join.wait();
         if (stopping_) co_return;
-        const std::uint32_t first = b * bp;
+        const std::uint32_t first = b * kBatchPages;
         const std::uint32_t count =
-            std::min<std::uint32_t>(bp, fl->num_pages - first);
+            std::min<std::uint32_t>(kBatchPages, fl->num_pages - first);
         std::erase_if(batches, [](const sim::Task &t) {
             if (!t.done()) return false;
             t.rethrow_if_failed();

@@ -261,6 +261,26 @@ TEST(EngineFault, LostIrqMovesBytesButSkipsCallback)
     EXPECT_EQ(f.faulty.stats().interrupts_raised, 0u);
 }
 
+// The lost-completion site never swallows an error interrupt: the CC
+// error line is separate. A lost error IRQ would leave the errored
+// record to be purged, after which its stale id reads as a clean
+// completion and a drain or watchdog pass would release a migration
+// whose destination was never written.
+TEST(EngineFault, ErrorInterruptIsNeverLost)
+{
+    FaultFixture f;
+    f.faults.arm_nth(kFaultTcError, 1);
+    f.faults.arm_nth(kFaultLostIrq, 1);
+    bool fired = false;
+    const TransferId id =
+        f.faulty.start_chain(0, 0, true, [&](TransferId) { fired = true; });
+    f.eq.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(f.faulty.status(id), TransferStatus::kError);
+    EXPECT_EQ(*f.pm.span(f.dst, 1), std::byte{0});
+    EXPECT_EQ(f.faulty.stats().interrupts_lost, 0u);
+}
+
 TEST(EngineFault, LostIrqOnlyAppliesToIrqMode)
 {
     FaultFixture f;

@@ -74,34 +74,79 @@ TEST(HeatPolicy, AgingPromotesOnRecencyAndDecaysToDemote)
     EXPECT_EQ(heat.bucket(0).written_epochs, 1u);
 }
 
-TEST(HeatPolicy, EwmaHysteresisAbsorbsAFiftyPercentDutyCycle)
+// The tiered daemon's three-way verdict: the aging cold band enters at
+// age <= 0x02 and leaves only at age >= 0x08, a hot bucket is never
+// cold, and each band maps to its tier.
+TEST(HeatPolicy, AgingColdBandDrivesTheTieredVerdict)
 {
     HeatConfig hc;
-    hc.policy = MigratePolicy::kEwma;  // alpha .4, enter .6, exit .2
+    hc.aging_promote_threshold = 0xC0;  // two touched epochs to go hot
     RegionHeat heat(hc, 8);
     ASSERT_EQ(heat.num_buckets(), 1u);
+    auto verdicts = [&heat] {
+        return std::vector<TierVerdict>{
+            heat.classify_tiered(0, HeatTier::kFast),
+            heat.classify_tiered(0, HeatTier::kSlow),
+            heat.classify_tiered(0, HeatTier::kFar)};
+    };
+    const std::vector<TierVerdict> warm = {
+        TierVerdict::kToSlow, TierVerdict::kStay, TierVerdict::kToSlow};
+    const std::vector<TierVerdict> cold = {
+        TierVerdict::kToFar, TierVerdict::kToFar, TierVerdict::kStay};
+    const std::vector<TierVerdict> hot = {
+        TierVerdict::kStay, TierVerdict::kToFast, TierVerdict::kToFast};
 
-    // Alternate fully-accessed and idle epochs. The rate oscillates
-    // between roughly 0.37 and 0.62: it crosses the enter band once,
-    // then never falls to the exit band — exactly one hot flip, no
-    // ping-pong.
-    for (int e = 0; e < 24; ++e)
-        heat.fold(0, (e % 2 == 0) ? 8 : 0, 0, 8);
+    // One touch: 0x80 is below the promote threshold, so warm.
+    heat.fold(0, 8, 0, 8);
+    EXPECT_EQ(verdicts(), warm);
+    // Decay to 0x08 (the exit edge) and 0x04 (inside the band): a
+    // bucket that was never cold stays warm there.
+    for (int e = 0; e < 5; ++e) heat.fold(0, 0, 0, 8);
+    EXPECT_EQ(heat.bucket(0).age, 0x04);
+    EXPECT_FALSE(heat.bucket(0).cold);
+    EXPECT_EQ(verdicts(), warm);
+    // 0x02 enters the cold band; further decay keeps it there.
+    heat.fold(0, 0, 0, 8);
+    EXPECT_EQ(heat.bucket(0).age, 0x02);
+    EXPECT_TRUE(heat.bucket(0).cold);
+    EXPECT_EQ(verdicts(), cold);
+    heat.fold(0, 0, 0, 8);
+    heat.fold(0, 0, 0, 8);
+    EXPECT_EQ(heat.bucket(0).age, 0x00);
+    EXPECT_EQ(verdicts(), cold);
+    // A touch lifts the age to 0x80 >= 0x08: out of the cold band, but
+    // one epoch is not hot, so a far-resident bucket stops at DDR.
+    heat.fold(0, 8, 0, 8);
+    EXPECT_FALSE(heat.bucket(0).cold);
+    EXPECT_EQ(verdicts(), warm);
+    // A second touch (0xC0) is hot: everything heads for the fast tier.
+    heat.fold(0, 8, 0, 8);
     EXPECT_TRUE(heat.bucket(0).hot);
-    EXPECT_EQ(heat.ping_pongs(), 0u);
+    EXPECT_EQ(verdicts(), hot);
 
-    // A long genuinely-idle stretch does demote it.
-    for (int e = 0; e < 8; ++e) heat.fold(0, 0, 0, 8);
-    EXPECT_FALSE(heat.bucket(0).hot);
-    EXPECT_LE(heat.bucket(0).rate, hc.ewma_cold_exit);
-    EXPECT_EQ(heat.classify(0, /*resident_fast=*/true),
-              HeatVerdict::kDemote);
+    // A hot bucket is never cold, even at an age inside the cold band:
+    // with promote at 0x01, decay reaches 0x02 while still hot.
+    HeatConfig eager;
+    eager.aging_promote_threshold = 0x01;
+    RegionHeat h2(eager, 8);
+    h2.fold(0, 8, 0, 8);
+    for (int e = 0; e < 6; ++e) h2.fold(0, 0, 0, 8);
+    EXPECT_EQ(h2.bucket(0).age, 0x02);
+    EXPECT_TRUE(h2.bucket(0).hot);
+    EXPECT_FALSE(h2.bucket(0).cold);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFar), TierVerdict::kToFast);
+    // Once it decays out of the hot band (age 0 < 0x10) it is cold.
+    h2.fold(0, 0, 0, 8);
+    h2.fold(0, 0, 0, 8);
+    EXPECT_FALSE(h2.bucket(0).hot);
+    EXPECT_TRUE(h2.bucket(0).cold);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFast), TierVerdict::kToFar);
 }
 
 TEST(HeatPolicy, BucketGeometryAndHistogram)
 {
+    static_assert(kHeatBucketPages == 8);
     HeatConfig hc;
-    hc.bucket_pages = 8;
     RegionHeat heat(hc, 21);  // 2 full buckets + one short tail
     ASSERT_EQ(heat.num_buckets(), 3u);
     EXPECT_EQ(heat.pages_in(0), 8u);
