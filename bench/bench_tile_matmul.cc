@@ -55,7 +55,6 @@ run_cell(const wl::TileMatmulConfig &mm)
     mc.auto_migrate = false;
     mc.tiered_memory = false;
     mc.sva_dma = false;
-    mc.xlate_prefetch_ahead = false;
     TestBed bed(mc);
     core::RegisterDeviceFile("/dev/memif0", bed.dev);
     const int fd = core::MemifOpen("/dev/memif0");

@@ -1,22 +1,20 @@
 /**
  * @file
  * MMU-aware DMA: translation cost on large scatter-gather replication
- * streams, three ways.
+ * streams, two ways.
  *
  *   pre-pinned    scaled(): every chain's page walks complete in Prep
  *                 before submit (the PR 1-6 contract).
- *   sva           scaled() + sva_dma: no pre-pinning — the engine
- *                 resolves each descriptor through the XlateCache /
- *                 page walk at consumption time, paying demand walks
- *                 inline with the stream.
- *   sva+prefetch  scaled() + sva_dma + xlate_prefetch_ahead: only the
- *                 first window is walked synchronously; asynchronous
- *                 prefetch walks run two windows ahead of the
- *                 consumption stream, so translation overlaps copy.
+ *   sva+prefetch  scaled() + sva_dma: no pre-pinning — the engine
+ *                 resolves each descriptor through the live page tables
+ *                 at consumption time. Only the first window is walked
+ *                 synchronously; asynchronous prefetch walks run two
+ *                 windows ahead of the consumption stream, so
+ *                 translation overlaps copy.
  *
  * Every cell replicates FRESH region pairs (cold translations — the
  * regime the prefetcher exists for; hot regions are the gang cache's
- * job, bench_submission_scaling) with SG coalescing off in all three
+ * job, bench_submission_scaling) with SG coalescing off in both
  * configs, so one 4 KB chunk = one descriptor = one stream slot and
  * the per-descriptor translation machinery is actually exercised.
  *
@@ -94,7 +92,6 @@ struct Mode {
     const char *name;
     const char *series;
     bool sva;
-    bool prefetch;
 };
 
 core::MemifConfig
@@ -103,11 +100,10 @@ config_for(const Mode &m)
     core::MemifConfig mc = core::MemifConfig::scaled();
     // One 4 KB chunk per descriptor: without this the buddy allocator's
     // contiguous frames collapse a whole fresh region into one or two
-    // descriptors and there is no large SG to sweep. Off in all three
+    // descriptors and there is no large SG to sweep. Off in both
     // configs, so the comparison stays apples-to-apples.
     mc.sg_coalescing = false;
     mc.sva_dma = m.sva;
-    mc.xlate_prefetch_ahead = m.prefetch;
     return mc;
 }
 
@@ -119,12 +115,11 @@ main()
     BenchReport report("xlate_prefetch");
     const std::uint32_t rounds = quick_mode() ? 3 : 8;
     const Mode modes[] = {
-        {"pre-pinned", "sg-sweep-prepinned", false, false},
-        {"sva", "sg-sweep-sva", true, false},
-        {"sva+prefetch", "sg-sweep-sva-prefetch", true, true},
+        {"pre-pinned", "sg-sweep-prepinned", false},
+        {"sva+prefetch", "sg-sweep-sva-prefetch", true},
     };
 
-    header("Cold large-SG replication: translation three ways");
+    header("Cold large-SG replication: translation two ways");
     std::printf("%-13s %6s %10s %8s %7s %6s %6s %7s %8s %9s\n", "config",
                 "sg", "elapsed_us", "GB/s", "hit", "late", "waste",
                 "demand", "stall_us", "vs_prepin");
@@ -152,7 +147,7 @@ main()
                 static_cast<unsigned long long>(ds.sva_demand_walks),
                 sim::to_us(ds.consumer_stall_time), ratio);
             report.add(m.series, pages, out.gb_per_sec());
-            if (m.prefetch) {
+            if (m.sva) {
                 report.add("sva-prefetch-ratio", pages, ratio);
                 const double hit_ratio =
                     ds.stream_prefetch_issued

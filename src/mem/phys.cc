@@ -10,13 +10,16 @@ MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
     : id_(id),
       base_(base_pfn),
       cfg_(cfg),
-      backing_(new std::byte[cfg.bytes]()),
+      backing_(static_cast<std::byte *>(std::calloc(cfg.bytes, 1))),
       buddy_(cfg.bytes >> kPageShift),
       frames_(cfg.bytes >> kPageShift)
 {
     if (cfg.bytes == 0 || (cfg.bytes & (kPageSize - 1)) != 0)
         MEMIF_FATAL("node '%s': capacity must be a nonzero page multiple",
                     cfg.name.c_str());
+    if (!backing_)
+        MEMIF_FATAL("node '%s': cannot back %llu bytes", cfg.name.c_str(),
+                    static_cast<unsigned long long>(cfg.bytes));
 }
 
 NodeId

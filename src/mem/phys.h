@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,7 +159,15 @@ class MemoryNode {
     NodeId id_;
     Pfn base_;
     NodeConfig cfg_;
-    std::unique_ptr<std::byte[]> backing_;
+    /** Frees calloc()ed backing. */
+    struct FreeBacking {
+        void operator()(std::byte *p) const { std::free(p); }
+    };
+    /** Zero-filled by calloc, whose large blocks come straight from
+     *  fresh anonymous pages: the host faults zero pages in as the
+     *  simulation first touches them instead of clearing the whole
+     *  node up front. */
+    std::unique_ptr<std::byte[], FreeBacking> backing_;
     BuddyAllocator buddy_;
     std::vector<PageFrame> frames_;
 };

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "sim/cost_model.h"
 #include "sim/log.h"
@@ -43,9 +44,23 @@ constexpr std::size_t kTenantDispatchWindow = 8;
 /** WRR weight of the migration daemon's service class (its movs never
  *  consume app tenants' quotas). */
 constexpr std::uint32_t kDaemonWeight = 1;
-/** xlate_prefetch_ahead: descriptors walked synchronously at prep;
- *  also the batch size of each asynchronous prefetch walk. */
+/** sva_dma: descriptors per translation window — the unit the first
+ *  (prep-time) walk, each asynchronous prefetch walk, and the
+ *  cache-first check cover. */
 constexpr std::uint32_t kPrefetchWindow = 8;
+
+/** The live PTEs of pages [first, first + n) of @p vma: what a walk of
+ *  the run delivers, and the only snapshot any XlateCache entry is
+ *  recorded from. */
+std::vector<vm::Pte>
+snapshot_ptes(const vm::Vma *vma, std::uint64_t first, std::uint64_t n)
+{
+    std::vector<vm::Pte> ptes;
+    ptes.reserve(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        ptes.push_back(vma->pte(first + i));
+    return ptes;
+}
 
 /** Merge adjacent SG entries whose src AND dst runs are contiguous. */
 std::vector<dma::SgEntry>
@@ -481,7 +496,7 @@ MemifDevice::print_stats(std::FILE *out) const
                      static_cast<unsigned long long>(
                          s.xlate_gang_prefetched));
     }
-    if (config_.sva_dma || config_.xlate_prefetch_ahead) {
+    if (config_.sva_dma) {
         std::fprintf(
             out, "  stream_prefetch i/h/l/w %6llu/%llu/%llu/%llu\n",
             static_cast<unsigned long long>(s.stream_prefetch_issued),
@@ -1010,11 +1025,8 @@ MemifDevice::xlate_writethrough(const InFlightPtr &fl, ExecContext ctx)
     // next move over the region starts from a hit.
     XlateCache *const xcache = xlate_for(fl->asid);
     if (!xcache) return;
-    std::vector<vm::Pte> ptes;
-    ptes.reserve(fl->num_pages);
-    for (std::uint32_t i = 0; i < fl->num_pages; ++i)
-        ptes.push_back(fl->vma->pte(fl->first_page + i));
-    xcache->record(fl->vma, fl->first_page, std::move(ptes));
+    xcache->record(fl->vma, fl->first_page,
+                   snapshot_ptes(fl->vma, fl->first_page, fl->num_pages));
     kernel_.cpu().charge(ctx, Op::kRelease, kernel_.costs().xlate_probe);
 }
 
@@ -1174,52 +1186,80 @@ MemifDevice::resolve_span(const vm::Vma *vma, vm::VAddr va,
     return true;
 }
 
+bool
+MemifDevice::SlotWindow::cached_in(XlateCache *cache) const
+{
+    return cache && cache->lookup(svma, s0, sn) &&
+           cache->lookup(dvma, d0, dn);
+}
+
 void
-MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
-                                   std::uint64_t batch)
+MemifDevice::SlotWindow::record_into(XlateCache &cache) const
+{
+    cache.record(svma, s0, snapshot_ptes(svma, s0, sn));
+    cache.record(dvma, d0, snapshot_ptes(dvma, d0, dn));
+}
+
+MemifDevice::SlotWindow
+MemifDevice::slot_window(const InFlight &fl, std::size_t lo,
+                         std::size_t hi) const
+{
+    const sim::CostModel &cm = kernel_.costs();
+    const XlateSlot &head = fl.slots[lo];
+    const XlateSlot &tail = fl.slots[hi - 1];
+    SlotWindow w;
+    w.svma = fl.vma;
+    w.dvma = fl.dst_vma;
+    w.s0 = w.svma->page_index(head.src_va);
+    w.sn = w.svma->page_index(tail.src_va + tail.bytes - 1) - w.s0 + 1;
+    w.d0 = w.dvma->page_index(head.dst_va);
+    w.dn = w.dvma->page_index(tail.dst_va + tail.bytes - 1) - w.d0 + 1;
+    w.walk = 2 * cm.page_walk_full +
+             (w.sn - 1 + w.dn - 1) * cm.page_walk_adjacent;
+    return w;
+}
+
+sim::Duration
+MemifDevice::prefetch_window(const InFlightPtr &fl, std::uint64_t batch,
+                             bool sync)
 {
     const std::uint64_t lo = batch * kPrefetchWindow;
-    if (lo >= fl->slots.size()) return;
+    if (lo >= fl->slots.size()) return 0;
     const std::uint64_t hi =
         std::min<std::uint64_t>(lo + kPrefetchWindow, fl->slots.size());
-    const sim::CostModel &cm = kernel_.costs();
-    const vm::Vma *const svma = fl->vma;
-    const vm::Vma *const dvma = fl->dst_vma;
-    const XlateSlot &head = fl->slots[lo];
-    const XlateSlot &tail = fl->slots[hi - 1];
-    const std::uint64_t s0 = svma->page_index(head.src_va);
-    const std::uint64_t sn =
-        svma->page_index(tail.src_va + tail.bytes - 1) - s0 + 1;
-    const std::uint64_t d0 = dvma->page_index(head.dst_va);
-    const std::uint64_t dn =
-        dvma->page_index(tail.dst_va + tail.bytes - 1) - d0 + 1;
-
-    // The asynchronous walker: one full descent then adjacent steps
-    // per run (the gang-walk cost shape), elapsed as walker time on
-    // the event queue — no CPU is charged, which is the whole point:
-    // the walk overlaps in-flight DMA instead of serialising in prep.
-    const sim::Duration walk = 2 * cm.page_walk_full +
-                               (sn - 1 + dn - 1) * cm.page_walk_adjacent;
-    const sim::SimTime ready = kernel_.eq().now() + walk;
-    for (std::uint64_t i = lo; i < hi; ++i) {
-        fl->slots[i].ready_at = ready;
-        fl->slots[i].prefetched = true;
-    }
+    const SlotWindow w = slot_window(*fl, lo, hi);
+    XlateCache *const cache = xlate_for(fl->asid);
     stats_.stream_prefetch_issued += hi - lo;
 
-    XlateCache *const cache = xlate_for(fl->asid);
+    // Cache first: a window the gang cache already translated (a warm
+    // region pair, or a neighbour's gang prefetch) needs no walk at
+    // all — no CPU, no event, no pending token. Otherwise the first
+    // window is walked synchronously and the rest by the asynchronous
+    // walker: elapsed as walker time on the event queue, not charged
+    // to any CPU, so the walk overlaps in-flight DMA instead of
+    // serialising in prep.
+    const bool hit = w.cached_in(cache);
+    const sim::SimTime now = kernel_.eq().now();
+    const sim::SimTime ready = hit || sync ? now : now + w.walk;
+    for (std::uint64_t i = lo; i < hi; ++i) fl->slots[i].ready_at = ready;
+    if (hit) return 0;
+    if (sync) {
+        if (cache) w.record_into(*cache);
+        return w.walk;
+    }
+
     std::uint64_t stok = 0, dtok = 0;
     if (cache) {
         // Pending entries: an invalidation landing before the fill
         // kills the token and the stale walk result is dropped.
-        stok = cache->begin_prefetch(svma, s0, sn);
-        dtok = cache->begin_prefetch(dvma, d0, dn);
+        stok = cache->begin_prefetch(w.svma, w.s0, w.sn);
+        dtok = cache->begin_prefetch(w.dvma, w.d0, w.dn);
         fl->prefetch_tokens.push_back(stok);
         fl->prefetch_tokens.push_back(dtok);
     }
     std::weak_ptr<InFlight> weak = fl;
-    const sim::EventQueue::EventId ev = kernel_.eq().schedule_at(
-        ready, [this, weak, stok, dtok, svma, dvma, s0, sn, d0, dn] {
+    const sim::EventQueue::EventId ev =
+        kernel_.eq().schedule_at(ready, [this, weak, stok, dtok, w] {
             InFlightPtr alive = weak.lock();
             if (!alive || stopping_) return;
             XlateCache *const xc = xlate_for(alive->asid);
@@ -1227,19 +1267,13 @@ MemifDevice::issue_stream_prefetch(const InFlightPtr &fl,
             // Fill from the PTEs live *now*: the walk result delivered
             // is whatever the tables say at completion time, and the
             // generation check drops it if an invalidation raced ahead.
-            const auto fill = [&](std::uint64_t tok, const vm::Vma *vma,
-                                  std::uint64_t p0, std::uint64_t n) {
-                std::vector<vm::Pte> ptes;
-                ptes.reserve(n);
-                for (std::uint64_t i = 0; i < n; ++i)
-                    ptes.push_back(vma->pte(p0 + i));
-                if (!xc->fill_prefetch(tok, std::move(ptes)))
-                    ++stats_.prefetch_fills_dropped;
-            };
-            fill(stok, svma, s0, sn);
-            fill(dtok, dvma, d0, dn);
+            if (!xc->fill_prefetch(stok, snapshot_ptes(w.svma, w.s0, w.sn)))
+                ++stats_.prefetch_fills_dropped;
+            if (!xc->fill_prefetch(dtok, snapshot_ptes(w.dvma, w.d0, w.dn)))
+                ++stats_.prefetch_fills_dropped;
         });
     fl->prefetch_events.push_back(ev);
+    return 0;
 }
 
 void
@@ -1262,7 +1296,6 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
 {
     dma::XlateVerdict v;
     if (fl->aborted || stopping_ || idx >= fl->slots.size()) return v;
-    const sim::CostModel &cm = kernel_.costs();
     const sim::SimTime now = kernel_.eq().now();
     XlateSlot &slot = fl->slots[idx];
 
@@ -1270,14 +1303,10 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
     // entering a new window triggers the walk two windows out, so the
     // walker (~page_walk_adjacent per page) stays ahead of the copy
     // stream (~dma_stream_time per page) after the first window.
-    if (config_.xlate_prefetch_ahead && idx % kPrefetchWindow == 0) {
+    if (idx % kPrefetchWindow == 0) {
         const std::uint64_t target = idx / kPrefetchWindow + 2;
-        while (fl->next_prefetch_batch <= target &&
-               fl->next_prefetch_batch * kPrefetchWindow <
-                   fl->slots.size()) {
-            issue_stream_prefetch(fl, fl->next_prefetch_batch);
-            ++fl->next_prefetch_batch;
-        }
+        for (; fl->next_prefetch_batch <= target; ++fl->next_prefetch_batch)
+            prefetch_window(fl, fl->next_prefetch_batch, /*sync=*/false);
     }
 
     // Injected IOMMU walk fault: the chain terminates mid-stream and
@@ -1309,63 +1338,31 @@ MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
         d = nd;
     }
 
-    // Stall accounting: is the translation already in the cache?
+    // Stall accounting. Every slot's window was translated ahead of
+    // consumption — found cached, walked at prep, or prefetched — so
+    // the only questions are whether that walk has landed and whether
+    // its result is still in the cache.
     XlateCache *const cache = xlate_for(fl->asid);
-    const std::uint64_t s0 = fl->vma->page_index(slot.src_va);
-    const std::uint64_t sn =
-        fl->vma->page_index(slot.src_va + slot.bytes - 1) - s0 + 1;
-    const std::uint64_t d0 = fl->dst_vma->page_index(slot.dst_va);
-    const std::uint64_t dn =
-        fl->dst_vma->page_index(slot.dst_va + slot.bytes - 1) - d0 + 1;
-    const bool covered = cache && cache->lookup(fl->vma, s0, sn) &&
-                         cache->lookup(fl->dst_vma, d0, dn);
-    const auto rec = [&](const vm::Vma *vma, std::uint64_t p0,
-                         std::uint64_t n) {
-        std::vector<vm::Pte> ptes;
-        ptes.reserve(n);
-        for (std::uint64_t i = 0; i < n; ++i)
-            ptes.push_back(vma->pte(p0 + i));
-        cache->record(vma, p0, std::move(ptes));
-    };
-    const sim::Duration demand_walk =
-        2 * cm.page_walk_full +
-        (sn - 1 + dn - 1) * cm.page_walk_adjacent;
-
-    if (slot.prefetched) {
-        if (now < slot.ready_at) {
-            // Consumer outran the prefetcher: the TC stalls until the
-            // covering walk lands (and then proceeds off its result).
-            v.stall = slot.ready_at - now;
-            ++stats_.stream_prefetch_late;
-            ++stats_.consumer_stalls;
-            stats_.consumer_stall_time += v.stall;
-        } else if (covered) {
-            // Prefetched translation ready and live: the walk fully
-            // overlapped earlier streaming — zero consumption stall.
-            ++stats_.stream_prefetch_hits;
-        } else {
-            // Prefetched but unusable (invalidated after the fill, or
-            // the fill was dropped): demand re-walk in the stream.
-            ++stats_.stream_prefetch_wasted;
-            ++stats_.sva_demand_walks;
-            v.stall = demand_walk;
-            if (cache) {
-                rec(fl->vma, s0, sn);
-                rec(fl->dst_vma, d0, dn);
-            }
-        }
+    const SlotWindow w = slot_window(*fl, idx, idx + 1);
+    const bool covered = w.cached_in(cache);
+    if (now < slot.ready_at) {
+        // Consumer outran the prefetcher: the TC stalls until the
+        // covering walk lands (and then proceeds off its result).
+        v.stall = slot.ready_at - now;
+        ++stats_.stream_prefetch_late;
+        ++stats_.consumer_stalls;
+        stats_.consumer_stall_time += v.stall;
     } else if (covered) {
-        // Pure SVA routing: every descriptor pays the IOTLB lookup
-        // inline with the stream (prefetched entries are pushed, so
-        // they skip even this).
-        v.stall = cm.xlate_probe;
+        // Translation ready and live: the walk fully overlapped earlier
+        // streaming (or was never needed) — zero consumption stall.
+        ++stats_.stream_prefetch_hits;
     } else {
+        // Prefetched but unusable (invalidated after the fill, or the
+        // fill was dropped): demand re-walk in the stream.
+        ++stats_.stream_prefetch_wasted;
         ++stats_.sva_demand_walks;
-        v.stall = demand_walk;
-        if (cache) {
-            rec(fl->vma, s0, sn);
-            rec(fl->dst_vma, d0, dn);
-        }
+        v.stall = w.walk;
+        if (cache) w.record_into(*cache);
     }
     return v;
 }
@@ -1567,11 +1564,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                        wc.adjacent_steps * cm.page_walk_adjacent;
         if (xcache) {
             const std::uint64_t first = lr.vma->page_index(lr.base);
-            std::vector<vm::Pte> ptes;
-            ptes.reserve(walk_pages);
-            for (std::uint64_t i = 0; i < walk_pages; ++i)
-                ptes.push_back(lr.vma->pte(first + i));
-            xcache->record(lr.vma, first, std::move(ptes));
+            xcache->record(lr.vma, first,
+                           snapshot_ptes(lr.vma, first, walk_pages));
         }
     }
     co_await cpu.busy(ctx, Op::kPrep, lookup_cost);
@@ -2000,49 +1994,16 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             off += e.bytes;
         }
     }
-    if (sva_stream) {
-        if (config_.xlate_prefetch_ahead && !fl->slots.empty()) {
-            // Walk only the first window synchronously; everything
-            // beyond it is walked by asynchronous prefetch events that
-            // run ahead of the consumption stream (two windows of
-            // lead, sustained by the gate as the stream advances).
-            const std::uint64_t hi =
-                std::min<std::uint64_t>(kPrefetchWindow, fl->slots.size());
-            const XlateSlot &tail = fl->slots[hi - 1];
-            const std::uint64_t s0 = src_vma->page_index(req.src_base);
-            const std::uint64_t sn =
-                src_vma->page_index(tail.src_va + tail.bytes - 1) - s0 +
-                1;
-            const std::uint64_t d0 = dst_vma->page_index(req.dst_base);
-            const std::uint64_t dn =
-                dst_vma->page_index(tail.dst_va + tail.bytes - 1) - d0 +
-                1;
-            const sim::Duration sync_walk =
-                2 * cm.page_walk_full +
-                (sn - 1 + dn - 1) * cm.page_walk_adjacent;
-            if (XlateCache *cache = xlate_for(req.asid)) {
-                std::vector<vm::Pte> ptes;
-                ptes.reserve(sn);
-                for (std::uint64_t i = 0; i < sn; ++i)
-                    ptes.push_back(src_vma->pte(s0 + i));
-                cache->record(src_vma, s0, std::move(ptes));
-                ptes.clear();
-                ptes.reserve(dn);
-                for (std::uint64_t i = 0; i < dn; ++i)
-                    ptes.push_back(dst_vma->pte(d0 + i));
-                cache->record(dst_vma, d0, std::move(ptes));
-            }
-            co_await cpu.busy(ctx, Op::kPrep, sync_walk);
-            const sim::SimTime ready = kernel_.eq().now();
-            for (std::uint64_t i = 0; i < hi; ++i) {
-                fl->slots[i].ready_at = ready;
-                fl->slots[i].prefetched = true;
-            }
-            stats_.stream_prefetch_issued += hi;
-            issue_stream_prefetch(fl, 1);
-            issue_stream_prefetch(fl, 2);
-            fl->next_prefetch_batch = 3;
-        }
+    if (sva_stream && !fl->slots.empty()) {
+        // Translate only the first window before submit (walked here
+        // unless the gang cache already holds it); the next two are
+        // handed to the asynchronous walker, and the gate keeps it two
+        // windows ahead of the consumption stream from there on.
+        const sim::Duration walk = prefetch_window(fl, 0, /*sync=*/true);
+        if (walk) co_await cpu.busy(ctx, Op::kPrep, walk);
+        prefetch_window(fl, 1, /*sync=*/false);
+        prefetch_window(fl, 2, /*sync=*/false);
+        fl->next_prefetch_batch = 3;
     }
     fl->irq_mode = irq_mode;
     fl->moderated = moderated && irq_mode && config_.irq_moderation;
@@ -2129,26 +2090,32 @@ MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
     }
 }
 
-void
-MemifDevice::arm_watchdog(const InFlightPtr &fl)
+sim::SimTime
+MemifDevice::watchdog_deadline(dma::TransferId tid) const
 {
     const sim::SimTime now = kernel_.eq().now();
-    const sim::SimTime done = kernel_.dma().completion_time(fl->tid);
+    const sim::SimTime done = kernel_.dma().completion_time(tid);
     const sim::Duration remaining = done > now ? done - now : 0;
     const auto padded = static_cast<sim::Duration>(
         static_cast<double>(remaining) * kWatchdogMargin);
-    const sim::SimTime deadline = now + padded + kWatchdogSlack;
+    return now + padded + kWatchdogSlack;
+}
+
+void
+MemifDevice::arm_watchdog(const InFlightPtr &fl)
+{
     // The event must not keep the device or the record alive, and the
     // normal completion path cancels it before it can run — a cancelled
     // event neither executes nor advances virtual time, so supervision
     // is free on the fault-less path.
     std::weak_ptr<InFlight> weak = fl;
-    fl->watchdog_id = kernel_.eq().schedule_at(deadline, [this, weak] {
-        InFlightPtr alive = weak.lock();
-        if (!alive) return;
-        alive->watchdog_id = sim::EventQueue::kInvalidEvent;
-        kernel_.spawn(watchdog_expired(std::move(alive)));
-    });
+    fl->watchdog_id = kernel_.eq().schedule_at(
+        watchdog_deadline(fl->tid), [this, weak] {
+            InFlightPtr alive = weak.lock();
+            if (!alive) return;
+            alive->watchdog_id = sim::EventQueue::kInvalidEvent;
+            kernel_.spawn(watchdog_expired(std::move(alive)));
+        });
 }
 
 void
@@ -2306,16 +2273,24 @@ MemifDevice::reap_moderated()
                          kernel_.costs().queue_op);
     if (batch.empty()) co_return;
     stats_.reaped_completions += batch.size();
+    co_await release_batch(std::move(batch), /*reaped=*/true);
+}
+
+sim::Task
+MemifDevice::release_batch(std::vector<InFlightPtr> batch, bool reaped)
+{
     if (batch.size() > 1) {
         ++stats_.completion_drains;
         stats_.drained_requests += batch.size() - 1;
     }
     FlushPlan plan;
     for (const InFlightPtr &fl : batch) {
-        kernel_.tracer().record(kernel_.eq().now(),
-                                TracePoint::kDmaComplete,
-                                ExecContext::kKthread, fl->req_idx);
-        observe_completion(fl);
+        if (reaped) {
+            kernel_.tracer().record(kernel_.eq().now(),
+                                    TracePoint::kDmaComplete,
+                                    ExecContext::kKthread, fl->req_idx);
+            observe_completion(fl);
+        }
         co_await do_release(fl, ExecContext::kKthread, &plan);
     }
     if (!plan.empty()) {
@@ -2769,29 +2744,8 @@ MemifDevice::kthread_loop()
             if (config_.completion_drain) {
                 // Drain every deferred release in one pass, sharing a
                 // single batched ranged shootdown across requests.
-                std::vector<InFlightPtr> batch;
-                batch.swap(pending_release_);
-                FlushPlan plan;
-                for (const InFlightPtr &fl : batch)
-                    co_await do_release(fl, ExecContext::kKthread, &plan);
-                if (!plan.empty()) {
-                    sim::Duration flush_cost = 0;
-                    issue_flush_plan(plan, flush_cost);
-                    co_await cpu.busy(ExecContext::kKthread, Op::kRelease,
-                                      flush_cost);
-                }
-                // The shared shootdown invalidated the batch's cache
-                // entries; re-record now that the flushes are issued.
-                if (config_.batched_tlb_shootdown) {
-                    for (const InFlightPtr &fl : batch)
-                        if (flight_prevents(*fl) &&
-                            fl->op == MovOp::kMigrate && !fl->aborted)
-                            xlate_writethrough(fl, ExecContext::kKthread);
-                }
-                if (batch.size() > 1) {
-                    ++stats_.completion_drains;
-                    stats_.drained_requests += batch.size() - 1;
-                }
+                co_await release_batch(std::exchange(pending_release_, {}),
+                                       /*reaped=*/false);
                 continue;
             }
             InFlightPtr fl = pending_release_.front();

@@ -206,28 +206,24 @@ struct MemifConfig {
     ///@}
 
     /**
-     * @name MMU-aware DMA levers (this PR; off by default so every
-     * earlier series keeps its exact shape; mmu_aware() turns them on
+     * @name MMU-aware DMA lever (this PR; off by default so every
+     * earlier series keeps its exact shape; mmu_aware() turns it on
      * atop tenanted() for the "memif-mmu-aware" series).
      */
     ///@{
-    /** Translation prefetch ahead of TC consumption: walk only the
-     *  first window of descriptors synchronously at chain prep,
-     *  then issue asynchronous translation-prefetch walks (EventQueue
-     *  events at page-walk cost) that run ahead of the consumption
-     *  stream, so walks overlap in-flight DMA instead of serialising
-     *  before submit. The TC-side consumer stalls (counted) only when
-     *  it outruns the prefetcher. Effective on SVA-routed streams
-     *  (sva_dma), where translation actually happens at consumption. */
-    bool xlate_prefetch_ahead = false;
     /** SVA-routed DMA (IOMMU-SVA framing): replication streams drop
      *  the pre-pinned physical SG contract — the engine resolves each
-     *  descriptor through the per-tenant XlateCache / page walk at
-     *  consumption time. Walk miss = engine stall + demand walk;
-     *  invalidation mid-flight = re-walk; a descriptor whose pages
-     *  went away faults the chain (kXlateFault) into the recovery
-     *  ladder. Never stale bytes: the gate always resolves from the
-     *  live page tables — cache state only decides the stall charged. */
+     *  descriptor through the live page tables at consumption time.
+     *  Translation runs ahead of the stream one window of descriptors
+     *  at a time: a window the per-tenant XlateCache already covers is
+     *  ready at once, the first other window is walked at prep, later
+     *  ones by asynchronous walks (EventQueue events at page-walk cost)
+     *  that overlap in-flight DMA. The TC-side consumer stalls
+     *  (counted) only when it outruns the walker; invalidation
+     *  mid-flight = demand re-walk; a descriptor whose pages went away
+     *  faults the chain (kXlateFault) into the recovery ladder. Never
+     *  stale bytes: the gate always resolves from the live page tables
+     *  — cache state only decides the stall charged. */
     bool sva_dma = false;
     ///@}
 
@@ -347,14 +343,13 @@ struct MemifConfig {
         return c;
     }
 
-    /** tenanted() plus the MMU-aware DMA levers (the "memif-mmu-aware"
+    /** tenanted() plus SVA-routed DMA (the "memif-mmu-aware"
      *  series). */
     static MemifConfig
     mmu_aware()
     {
         MemifConfig c = tenanted();
         c.sva_dma = true;
-        c.xlate_prefetch_ahead = true;
         return c;
     }
 
@@ -717,10 +712,25 @@ class MemifDevice {
         vm::VAddr src_va = 0;
         vm::VAddr dst_va = 0;
         std::uint64_t bytes = 0;
-        /** When the covering prefetch walk completes (prefetch-ahead
-         *  only; 0 = no prefetch covers this slot). */
+        /** When the walk covering this slot's window completes (the
+         *  window's prep or cache-hit time when nothing is pending). */
         sim::SimTime ready_at = 0;
-        bool prefetched = false;
+    };
+
+    /** The source and destination page runs under slots [lo, hi) of an
+     *  SVA stream, and what the walker pays to translate them: one
+     *  full descent per side plus one adjacent step per further page
+     *  (the gang-walk cost shape). */
+    struct SlotWindow {
+        const vm::Vma *svma = nullptr;
+        const vm::Vma *dvma = nullptr;
+        std::uint64_t s0 = 0, sn = 0;  ///< source first page, pages
+        std::uint64_t d0 = 0, dn = 0;  ///< destination first page, pages
+        sim::Duration walk = 0;
+        /** Both runs already translated in @p cache (null: never). */
+        bool cached_in(XlateCache *cache) const;
+        /** Record both runs into @p cache from the live PTEs. */
+        void record_into(XlateCache &cache) const;
     };
 
     /** Per-page state of one request being served. */
@@ -845,6 +855,12 @@ class MemifDevice {
     sim::Task drain_completions(InFlightPtr first);
 
     sim::Task reap_moderated();
+    /** Release @p batch from the kernel thread under one shared
+     *  FlushPlan: one ranged shootdown for the whole batch, then the
+     *  kPrevent xlate write-through and the drain counters. With
+     *  @p reaped the flights are moderated completions reaped off the
+     *  flight table, each traced and fed to the controller first. */
+    sim::Task release_batch(std::vector<InFlightPtr> batch, bool reaped);
     /** Feed a finished first-attempt transfer to the EWMA controller. */
     void observe_completion(const InFlightPtr &fl);
     /** The worker (§5.4 kernel-thread path). */
@@ -875,6 +891,10 @@ class MemifDevice {
     /** Completion-interrupt dispatcher: routes to irq_complete or, on a
      *  TC error, into the recovery ladder. */
     sim::Task on_dma_complete(InFlightPtr fl);
+    /** When supervision of transfer @p tid, started now, gives up:
+     *  its remaining predicted time × kWatchdogMargin + kWatchdogSlack
+     *  (the flight watchdog and the chain hops' deadline timers). */
+    sim::SimTime watchdog_deadline(dma::TransferId tid) const;
     void arm_watchdog(const InFlightPtr &fl);
     void disarm_watchdog(const InFlightPtr &fl);
     /** Watchdog callback: decides stuck vs. lost-interrupt and feeds
@@ -969,11 +989,17 @@ class MemifDevice {
      *  receives the physical byte address of @p va. */
     static bool resolve_span(const vm::Vma *vma, vm::VAddr va,
                              std::uint64_t bytes, std::uint64_t *out);
-    /** Issue the asynchronous translation-prefetch walk for batch
-     *  @p batch of @p fl's stream (prefetch_window descriptors): marks
-     *  the slots' ready_at, registers pending-prefetch tokens, and
-     *  schedules the fill at walker (not CPU) cost. */
-    void issue_stream_prefetch(const InFlightPtr &fl, std::uint64_t batch);
+    /** The page runs and walk cost under slots [@p lo, @p hi) of
+     *  @p fl's stream. */
+    SlotWindow slot_window(const InFlight &fl, std::size_t lo,
+                           std::size_t hi) const;
+    /** Translate window @p batch of @p fl's stream ahead of
+     *  consumption and set its slots' ready_at: free when the xlate
+     *  cache covers it; else walked now (@p sync, the prep window:
+     *  returns the walk time for the caller to charge) or by an
+     *  asynchronous walk behind pending-prefetch tokens (returns 0). */
+    sim::Duration prefetch_window(const InFlightPtr &fl, std::uint64_t batch,
+                                  bool sync);
     /** The engine's per-descriptor translation gate (sva_dma): always
      *  re-resolves @p d from the live page tables; prefetch / cache
      *  state only decides the stall charged. Keeps the prefetcher

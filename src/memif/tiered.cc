@@ -196,19 +196,12 @@ MemifDevice::run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
         // timeout (or teardown) sets a flag nobody reads instead of
         // resuming freed memory.
         auto done = std::make_shared<sim::SimEvent>(kernel_.eq());
-        const sim::SimTime started = kernel_.eq().now();
         const dma::TransferId tid =
             drv.start(std::move(prepared), /*irq_mode=*/true,
                       [done](dma::TransferId) { done->set(); }, tc,
                       /*moderated=*/false, nullptr);
-        const sim::SimTime quote = drv.completion_time(tid);
-        const sim::Duration remaining =
-            quote > started ? quote - started : 0;
-        const auto padded = static_cast<sim::Duration>(
-            static_cast<double>(remaining) * kWatchdogMargin);
         const sim::EventQueue::EventId timer = kernel_.eq().schedule_at(
-            started + padded + kWatchdogSlack,
-            [done] { done->set(); });
+            watchdog_deadline(tid), [done] { done->set(); });
         co_await done->wait();
         kernel_.eq().cancel(timer);
         --active_hop_stages_;

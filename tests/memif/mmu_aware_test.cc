@@ -18,6 +18,8 @@
 #include "memif/xlate_cache.h"
 #include "os/kernel.h"
 #include "os/process.h"
+#include "sim/cost_model.h"
+#include "sim/cpu.h"
 #include "sim/task.h"
 #include "sim/types.h"
 
@@ -176,6 +178,46 @@ TEST(MmuAware, SvaReplicationStreamsCorrectBytes)
     EXPECT_EQ(f.kernel.dma_engine().stats().gated_transfers, 1u);
 }
 
+TEST(MmuAware, WarmSvaStreamSkipsTheWalk)
+{
+    // The stream prefetcher checks the gang cache first: a region pair
+    // replicated a second time finds every window already translated
+    // by the first pass, so the repeat walks nothing: no prep-time
+    // walk charge, no demand walk, no consumer stall.
+    Fixture f(uncoalesced_mmu_aware());
+    const std::uint32_t pages = 32;
+    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
+                                      f.kernel.fast_node());
+    f.fill(src, pages * 4096, 64);
+
+    const std::uint32_t first = f.replicate(src, pages, dst);
+    f.kernel.run();
+    ASSERT_EQ(f.user.request(first).load_status(), MovStatus::kDone);
+    const DeviceStats before = f.dev.stats();
+    const sim::CpuAccounting cpu_before = f.kernel.cpu().snapshot();
+
+    const std::uint32_t second = f.replicate(src, pages, dst);
+    f.kernel.run();
+
+    EXPECT_EQ(f.user.request(second).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, pages * 4096, 64));
+    const DeviceStats &ds = f.dev.stats();
+    // One slot per page; every one was ready and cached at consumption.
+    EXPECT_EQ(ds.stream_prefetch_issued - before.stream_prefetch_issued,
+              pages);
+    EXPECT_EQ(ds.stream_prefetch_hits - before.stream_prefetch_hits, pages);
+    EXPECT_EQ(ds.consumer_stalls, before.consumer_stalls);
+    EXPECT_EQ(ds.sva_demand_walks, before.sva_demand_walks);
+    EXPECT_EQ(ds.sva_resolved - before.sva_resolved, pages);
+    // Prep paid validation plus one probe per region, and no walk.
+    const sim::CostModel &cm = f.kernel.costs();
+    const sim::CpuAccounting spent =
+        f.kernel.cpu().snapshot().since(cpu_before);
+    EXPECT_EQ(spent.op(sim::Op::kPrep),
+              cm.request_validate + cm.request_admin + 2 * cm.xlate_probe);
+}
+
 TEST(MmuAware, ShootdownStormNeverCorruptsTheStream)
 {
     Fixture f(uncoalesced_mmu_aware());
@@ -325,9 +367,9 @@ TEST(MmuAware, PolledSvaStreamCompletes)
 
 TEST(MmuAware, LeversOffStaysOnThePrePinnedPath)
 {
-    // tenanted() differs from mmu_aware() only by the two new levers:
-    // with them off, no transfer is gated and no prefetch machinery
-    // runs — the pre-pinned contract of PR 1-6 is untouched.
+    // tenanted() differs from mmu_aware() only by sva_dma: with it
+    // off, no transfer is gated and no prefetch machinery runs — the
+    // pre-pinned contract of PR 1-6 is untouched.
     Fixture f(MemifConfig::tenanted());
     const std::uint32_t pages = 32;
     const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);

@@ -232,7 +232,6 @@ TEST(Differential, EveryConfigLeverAppearsInAPreset)
     EXPECT_TRUE(top.bulk_alloc);
     EXPECT_TRUE(top.percpu_rings);
     EXPECT_TRUE(top.multi_tenant);
-    EXPECT_TRUE(top.xlate_prefetch_ahead);
     EXPECT_TRUE(top.sva_dma);
     EXPECT_TRUE(top.auto_migrate);
     EXPECT_TRUE(top.tiered_memory);
@@ -305,7 +304,6 @@ TEST(Differential, StridedWorkloadsMatchTheModel)
         // into genuine 2D descriptors — both must match the oracle.
         core::MemifConfig nosva = p.config;
         nosva.sva_dma = false;
-        nosva.xlate_prefetch_ahead = false;
         for (const core::MemifConfig &cfg : {p.config, nosva}) {
             for (std::uint64_t sched : {0ull, 29ull}) {
                 RunOptions opt;
