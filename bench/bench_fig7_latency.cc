@@ -90,7 +90,10 @@ main()
     // copy bandwidth. These cells run with the kernel contexts
     // serialized on one driver core — the regime where that tax sits on
     // the critical path — and compare the paper default, the PR 2
-    // pipelined levers, and the moderated (completion-batching) levers.
+    // pipelined levers, the moderated (completion-batching) levers, and
+    // the presets above them. tenanted() and strided() route every
+    // request through the WRR pending lists, so these cells show
+    // whether the adaptive completion controller still sees the queue.
     // The legacy cells above keep the default free-overlap CPU model,
     // so their timelines are untouched.
     header("Fig. 7 extension: small-request streams, one driver core");
@@ -114,6 +117,8 @@ main()
         {"pipelined", memif::core::MemifConfig::pipelined()},
         {"moderated", memif::core::MemifConfig::moderated()},
         {"scaled", memif::core::MemifConfig::scaled()},
+        {"tenanted", memif::core::MemifConfig::tenanted()},
+        {"strided", memif::core::MemifConfig::strided()},
     };
 
     std::printf("%-10s %-10s %10s %9s %9s %9s %9s\n", "stream", "config",

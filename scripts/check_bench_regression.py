@@ -10,7 +10,10 @@ Checks that the optimisation levers actually pay off:
   configuration must beat pipelined on throughput by MIN_MOD_SPEEDUP
   per cell, and must cut the per-request completion tax
   (irqs/req + wakeups/req) to at most MAX_MOD_TAX_RATIO of
-  pipelined's.
+  pipelined's. On the same cells the strided() preset (every lever on,
+  requests routed through the multi-tenant WRR) must reach
+  MIN_STRIDED_VS_SCALED of scaled()'s GB/s with a completion tax at
+  most MAX_STRIDED_EXTRA_TAX above scaled()'s.
 * Submission scaling: on the repeated-region 256x4KB stream the
   scaled() levers (gang translation cache + bulk frame allocation +
   per-CPU rings) must beat moderated() by MIN_SCALED_SPEEDUP, the
@@ -59,6 +62,14 @@ MIN_PAGES = 16
 # mode (1.37x / 1.18x measured) and full mode (1.40x / 1.22x).
 FIG7_CELLS = [("256x4KB", 1.30), ("64x16KB", 1.15)]
 MAX_MOD_TAX_RATIO = 0.5
+# strided() vs scaled() on the fig7 stream cells: the WRR layer must
+# not hide the queue from the completion controller.  Measured
+# 0.996x / 0.998x quick and 0.996x / 0.997x full with equal tax.  A
+# controller blind to the WRR pending lists sits at 0.69x with 1.94 vs
+# 0.06 (irq+wake)/req on 256x4KB in quick mode: the gap this gate
+# keeps closed.
+MIN_STRIDED_VS_SCALED = 0.95
+MAX_STRIDED_EXTRA_TAX = 0.05
 # Point x-coordinates written by bench_fig7_latency for stream series.
 X_GBPS, X_IRQS, X_WAKES = 1, 2, 3
 
@@ -165,6 +176,26 @@ def check_fig7_streams(where):
         if tax_ratio > MAX_MOD_TAX_RATIO:
             return fail(f"moderated completion tax {tax_ratio:.2f}x "
                         f"> {MAX_MOD_TAX_RATIO}x pipelined on {cell}")
+
+        sca = dict(series.get(f"stream-{cell}-scaled", []))
+        stri = dict(series.get(f"stream-{cell}-strided", []))
+        if X_GBPS not in sca or X_GBPS not in stri:
+            return fail(f"stream-{cell} scaled/strided series missing "
+                        f"from the artifact")
+        ratio = stri[X_GBPS] / sca[X_GBPS]
+        sca_tax = sca.get(X_IRQS, 0.0) + sca.get(X_WAKES, 0.0)
+        stri_tax = stri.get(X_IRQS, 0.0) + stri.get(X_WAKES, 0.0)
+        print(f"  {cell}: strided {stri[X_GBPS]:.2f} GB/s "
+              f"vs scaled {sca[X_GBPS]:.2f} GB/s = {ratio:.2f}x, "
+              f"completion tax {stri_tax:.2f} vs {sca_tax:.2f} "
+              f"(irq+wake)/req")
+        if ratio < MIN_STRIDED_VS_SCALED:
+            return fail(f"strided at {ratio:.2f}x "
+                        f"< {MIN_STRIDED_VS_SCALED}x scaled on {cell}")
+        if stri_tax > sca_tax + MAX_STRIDED_EXTRA_TAX:
+            return fail(f"strided completion tax {stri_tax:.2f} "
+                        f"> scaled {sca_tax:.2f} + {MAX_STRIDED_EXTRA_TAX} "
+                        f"on {cell}")
     print(f"check_bench_regression: fig7 OK ({len(FIG7_CELLS)} cells)")
     return check_submission_scaling(where)
 

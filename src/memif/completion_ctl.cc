@@ -5,9 +5,11 @@
 namespace memif {
 
 CompletionController::CompletionController(const sim::CostModel &cm,
-                                           std::uint64_t static_threshold)
+                                           std::uint64_t static_threshold,
+                                           bool shared_driver_core)
     : cm_(cm),
       static_threshold_(static_threshold),
+      shared_driver_core_(shared_driver_core),
       irq_path_ns_(static_cast<double>(cm.irq_overhead + cm.kthread_wakeup))
 {
 }
@@ -24,8 +26,11 @@ CompletionController::bucket_index(std::uint64_t bytes)
 }
 
 CompletionMode
-CompletionController::choose(std::uint64_t bytes, std::size_t backlog)
+CompletionController::choose(std::uint64_t bytes, std::size_t queued,
+                             std::size_t wrr_pending)
 {
+    const std::size_t backlog =
+        queued + (shared_driver_core_ ? wrr_pending : 0);
     const Bucket &b = buckets_[bucket_index(bytes)];
     if (b.samples < kWarmupSamples) {
         // Cold start: exactly the paper's static rule, so the first few

@@ -15,9 +15,24 @@
  *                 round-trip and the kthread has nothing else to do, so
  *                 burning the wait on the core is the cheap option;
  *   - kModerated  a backlog is building, so completions will coalesce
- *                 and one moderated IRQ retires the batch;
+ *                 and one moderated IRQ retires the batch (or, with
+ *                 completion_drain, the running kthread reaps it and the
+ *                 IRQ never fires);
  *   - kInterrupt  everything else (and whenever the prediction is too
  *                 noisy to trust — polling on a bad guess pins a core).
+ *
+ * The backlog has two inputs. `queued` counts transfers in flight plus
+ * the lock-free submission, staging and per-CPU ring queues.
+ * `wrr_pending` is the multi_tenant backlog those queues hide: requests already routed into the per-tenant (and
+ * migration-daemon) WRR pending lists. The controller counts
+ * `wrr_pending` only when the completion interrupt shares the worker's
+ * core (os::KernelConfig::single_driver_core). There, a moderated
+ * completion the running kthread reaps takes the whole IRQ entry and
+ * kthread wakeup off the critical path. On separate cores the IRQ
+ * handler's release work runs in parallel with the kthread; reaping
+ * would move it onto the kthread, which is already the bottleneck, and
+ * on the memifbench tenants-tiered stream that raised p50 latency by
+ * 4–6%. So there the signal stays `queued` alone.
  *
  * Cold buckets fall back to the static threshold, so behaviour before
  * the first few observations is exactly the paper's. The controller is
@@ -55,16 +70,22 @@ class CompletionController {
      * @param static_threshold  fallback poll threshold in bytes (the
      *                          paper's poll_threshold_bytes) used while
      *                          a bucket is cold
+     * @param shared_driver_core  completion IRQs run on the worker's
+     *                          core, so @p wrr_pending counts as backlog
      */
     CompletionController(const sim::CostModel &cm,
-                         std::uint64_t static_threshold);
+                         std::uint64_t static_threshold,
+                         bool shared_driver_core = false);
 
     /**
      * Pick the completion mode for a transfer of @p bytes given
-     * @p backlog requests already queued behind it. Deterministic for
+     * @p queued requests in flight or in the lock-free queues and
+     * @p wrr_pending requests in the multi_tenant pending lists (see
+     * the file comment for when the latter counts). Deterministic for
      * a given observation history.
      */
-    CompletionMode choose(std::uint64_t bytes, std::size_t backlog);
+    CompletionMode choose(std::uint64_t bytes, std::size_t queued,
+                          std::size_t wrr_pending = 0);
 
     /**
      * Feed back one completed transfer: @p predicted is what the engine
@@ -110,6 +131,7 @@ class CompletionController {
 
     const sim::CostModel &cm_;
     std::uint64_t static_threshold_;
+    bool shared_driver_core_;
     /** Cost of the interrupt completion path the poll decision competes
      *  against (IRQ entry + kthread wakeup), in ns. */
     double irq_path_ns_;

@@ -99,7 +99,8 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
               config.percpu_rings
                   ? std::min(config.num_submit_cpus, kMaxSubmitRings)
                   : 0),
-      completion_ctl_(kernel.costs(), config.poll_threshold_bytes),
+      completion_ctl_(kernel.costs(), config.poll_threshold_bytes,
+                      kernel.cpu().single_driver_core()),
       completion_event_(kernel.eq()),
       kthread_wq_(kernel.eq()),
       scan_wq_(kernel.eq()),
@@ -489,6 +490,22 @@ MemifDevice::print_stats(std::FILE *out) const
                  static_cast<unsigned long long>(s.fallback_copies));
     std::fprintf(out, "  rollbacks             %12llu\n",
                  static_cast<unsigned long long>(s.rollbacks));
+    // How completions were observed: the per-request IRQ + wakeup tax
+    // is what limits small-move throughput (§5.4).
+    std::fprintf(out, "  adaptive poll/irq/mod %8llu/%llu/%llu\n",
+                 static_cast<unsigned long long>(s.adaptive_polled),
+                 static_cast<unsigned long long>(s.adaptive_irq),
+                 static_cast<unsigned long long>(s.adaptive_moderated));
+    std::fprintf(out, "  compl irq/poll/reap   %8llu/%llu/%llu\n",
+                 static_cast<unsigned long long>(s.irq_completions),
+                 static_cast<unsigned long long>(s.polled_completions),
+                 static_cast<unsigned long long>(s.reaped_completions));
+    std::fprintf(out, "  completion_drains     %12llu\n",
+                 static_cast<unsigned long long>(s.completion_drains));
+    std::fprintf(out, "  kthread_wakeups       %12llu\n",
+                 static_cast<unsigned long long>(s.kthread_wakeups));
+    std::fprintf(out, "  ranged_tlb_flushes    %12llu\n",
+                 static_cast<unsigned long long>(s.ranged_tlb_flushes));
     if (config_.xlate_cache) {
         // The two prefetchers are distinct machines: the gang cache's
         // reactive neighbour expansion vs. the ahead-of-stream walks.
@@ -818,6 +835,19 @@ MemifDevice::next_request(std::uint32_t *out, bool take_staging)
     return true;
 }
 
+std::pair<std::size_t, std::size_t>
+MemifDevice::completion_backlog()
+{
+    std::size_t queued = in_flight_.size() +
+                         region_.submission_queue().size_unsafe() +
+                         region_.staging_queue().size_unsafe();
+    for (std::uint32_t r = 0; r < region_.num_rings(); ++r)
+        queued += region_.ring_queue(r).size_unsafe();
+    std::size_t wrr_pending = daemon_tenant_.pending.size();
+    for (const Tenant &t : tenants_) wrr_pending += t.pending.size();
+    return {queued, wrr_pending};
+}
+
 // --------------------------------------------------------------------
 // Validation (§4.2 safety: the driver trusts nothing in the region).
 // --------------------------------------------------------------------
@@ -1003,6 +1033,14 @@ MemifDevice::issue_flush_plan(const FlushPlan &plan, sim::Duration &cost)
 {
     const sim::CostModel &cm = kernel_.costs();
     for (const FlushSpan &s : plan) {
+        // A one-page span gains nothing from the ranged flush's base
+        // cost: invalidate the single entry instead.
+        if (s.lo == s.hi) {
+            s.as->flush_tlb_page(s.vma->page_vaddr(s.lo),
+                                 s.vma->page_size());
+            cost += cm.tlb_flush_page;
+            continue;
+        }
         const std::uint64_t span_pages = s.hi - s.lo + 1;
         s.as->flush_tlb_range(s.vma->page_vaddr(s.lo), span_pages,
                               s.vma->page_size());
@@ -2785,18 +2823,13 @@ MemifDevice::kthread_loop()
             // stall the pipeline that wants to configure request N+1
             // while N is still copying. The adaptive controller
             // replaces the static rule when enabled, using the backlog
-            // (queued + in-flight requests) as the coalescing signal;
-            // it only ever polls with an empty backlog, so the
-            // pipeline-stall concern cannot arise.
+            // (completion_backlog) as the coalescing signal; it only
+            // ever polls with an empty backlog, so the pipeline-stall
+            // concern cannot arise.
             CompletionMode mode;
             if (config_.adaptive_polling && bytes > 0) {
-                std::size_t backlog =
-                    in_flight_.size() +
-                    region_.submission_queue().size_unsafe() +
-                    region_.staging_queue().size_unsafe();
-                for (std::uint32_t r = 0; r < region_.num_rings(); ++r)
-                    backlog += region_.ring_queue(r).size_unsafe();
-                mode = completion_ctl_.choose(bytes, backlog);
+                const auto [queued, wrr_pending] = completion_backlog();
+                mode = completion_ctl_.choose(bytes, queued, wrr_pending);
                 if (mode == CompletionMode::kModerated &&
                     !config_.irq_moderation)
                     mode = CompletionMode::kInterrupt;

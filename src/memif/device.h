@@ -446,7 +446,9 @@ struct DeviceStats {
     std::uint64_t descriptor_writes_saved = 0;
     /** Transfers triggered per transfer controller. */
     std::array<std::uint64_t, dma::Edma3Engine::kNumTcs> tc_dispatches{};
-    std::uint64_t ranged_tlb_flushes = 0;  ///< batched-shootdown flushes
+    /** Batched-shootdown ranged flushes (a one-page span flushes the
+     *  page instead and is not counted). */
+    std::uint64_t ranged_tlb_flushes = 0;
     // ----- Submission path (gang xlate cache / magazine / rings) ------
     std::uint64_t xlate_hits = 0;    ///< pages translated from the cache
     std::uint64_t xlate_misses = 0;  ///< pages that paid the radix walk
@@ -1054,6 +1056,9 @@ class MemifDevice {
     /** Dequeue the next index to serve on either execution path:
      *  single-tenant order with the lever off, route + WRR with it on. */
     bool next_request(std::uint32_t *out, bool take_staging);
+    /** The completion controller's two backlog inputs: {in-flight plus
+     *  lock-free queued requests, requests in the WRR pending lists}. */
+    std::pair<std::size_t, std::size_t> completion_backlog();
     /** Complete @p idx as kFailed/kNoSpace with a retry-after hint;
      *  @p permanent zeroes the hint, meaning the request can never be
      *  admitted under this tenant's quota and must not be retried. */

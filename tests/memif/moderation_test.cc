@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "dma/descriptor.h"
@@ -213,6 +214,20 @@ TEST(CompletionCtl, LearnsToInterruptWhenDmaIsSlow)
                             : sim::microseconds(12));
     }
     EXPECT_EQ(noisy.choose(8192, 0), CompletionMode::kInterrupt);
+}
+
+TEST(CompletionCtl, WrrPendingCountsOnlyOnSharedCore)
+{
+    sim::CostModel cm;
+    // Cold 4 KB bucket, one request in flight, three in the WRR lists.
+    CompletionController separate(cm, 512 * 1024);
+    EXPECT_EQ(separate.choose(4096, 1, 3), CompletionMode::kInterrupt);
+    CompletionController shared(cm, 512 * 1024,
+                                /*shared_driver_core=*/true);
+    EXPECT_EQ(shared.choose(4096, 1, 3), CompletionMode::kModerated);
+    // Pending work also rules out polling on the shared core.
+    EXPECT_EQ(shared.choose(4096, 0, 1), CompletionMode::kInterrupt);
+    EXPECT_EQ(separate.choose(4096, 0, 1), CompletionMode::kPolled);
 }
 
 // --------------------------------------------------------------------
@@ -596,6 +611,130 @@ TEST(Moderation, BatchSubmitMakesOneCrossingForManyRequests)
     EXPECT_EQ(batched.user.stats().kicks, 1u);
     EXPECT_EQ(batched.user.stats().batch_submits, 1u);
     EXPECT_EQ(batched.user.stats().submits, 8u);
+}
+
+// --------------------------------------------------------------------
+// Backlog behind the multi-tenant WRR.
+// --------------------------------------------------------------------
+
+/** What a one-page migration stream left behind. */
+struct PageStreamOutcome {
+    std::uint32_t done = 0;
+    std::uint64_t irqs = 0;
+    DeviceStats stats;
+    CompletionController::DecisionCounts decisions;
+};
+
+/** Closed loop over every tenant: keep 8 one-page DDR->SRAM migrations
+ *  per tenant outstanding, submitted round-robin, until each tenant has
+ *  moved @p per_tenant pages. Completions share one queue, so a single
+ *  loop retrieves them all. */
+sim::Task
+page_migration_loop(std::vector<std::unique_ptr<MemifUser>> &users,
+                    const std::vector<vm::VAddr> &bases,
+                    std::uint32_t per_tenant, mem::NodeId fast,
+                    std::uint32_t *done)
+{
+    const auto tenants = static_cast<std::uint32_t>(users.size());
+    const std::uint32_t total = tenants * per_tenant;
+    const std::uint32_t window = 8 * tenants;
+    std::uint32_t submitted = 0;
+    while (*done < total) {
+        if (submitted < total && submitted - *done < window) {
+            const std::uint32_t t = submitted % tenants;
+            MemifUser &u = *users[t];
+            const std::uint32_t idx = u.alloc_request();
+            MovReq &req = u.request(idx);
+            req.op = MovOp::kMigrate;
+            req.src_base =
+                bases[t] + std::uint64_t{submitted / tenants} * 4096;
+            req.num_pages = 1;
+            req.dst_node = fast;
+            ++submitted;
+            co_await u.submit(idx);
+            continue;
+        }
+        MemifUser &u = *users.front();
+        const std::uint32_t idx = u.retrieve_completed();
+        if (idx == kNoRequest) {
+            co_await u.poll();
+            continue;
+        }
+        EXPECT_EQ(u.request(idx).load_status(), MovStatus::kDone);
+        ++*done;
+        u.free_request(idx);
+    }
+}
+
+/** @p tenants address spaces (the owner plus registered tenants) each
+ *  migrate @p per_tenant single pages. */
+PageStreamOutcome
+run_page_stream(MemifConfig cfg, os::KernelConfig kc,
+                std::uint32_t tenants, std::uint32_t per_tenant)
+{
+    os::Kernel kernel(kc);
+    os::Process &owner = kernel.create_process();
+    MemifDevice dev(kernel, owner, cfg);
+    std::vector<std::unique_ptr<MemifUser>> users;
+    std::vector<vm::VAddr> bases;
+    for (std::uint32_t t = 0; t < tenants; ++t) {
+        os::Process &p = t == 0 ? owner : kernel.create_process();
+        if (t != 0) {
+            EXPECT_EQ(dev.register_tenant(p), t);
+        }
+        users.push_back(std::make_unique<MemifUser>(dev, t, t));
+        bases.push_back(p.mmap(std::uint64_t{per_tenant} * 4096,
+                               vm::PageSize::k4K));
+    }
+    PageStreamOutcome o;
+    sim::Task loop = page_migration_loop(users, bases, per_tenant,
+                                         kernel.fast_node(), &o.done);
+    kernel.run();
+    loop.rethrow_if_failed();
+    EXPECT_TRUE(loop.done());
+    std::string why;
+    EXPECT_TRUE(dev.check_quiesced(&why)) << why;
+
+    o.irqs = kernel.dma_engine().stats().interrupts_raised;
+    o.stats = dev.stats();
+    o.decisions = dev.completion_controller().decisions();
+    return o;
+}
+
+TEST(Moderation, TenantedSharedCoreStreamIsModerated)
+{
+    // Under multi_tenant the queue behind a request sits in the WRR
+    // pending lists, not the lock-free queues. On a shared driver core
+    // the controller must still see it and moderate, so the running
+    // kthread reaps completions instead of taking one IRQ and one
+    // wakeup per request.
+    os::KernelConfig kc;
+    kc.single_driver_core = true;
+    for (const MemifConfig &cfg :
+         {MemifConfig::tenanted(), MemifConfig::strided()}) {
+        const PageStreamOutcome o = run_page_stream(cfg, kc, 1, 256);
+        EXPECT_EQ(o.done, 256u);
+        EXPECT_GT(o.stats.adaptive_moderated, 0u);
+        EXPECT_GT(o.stats.reaped_completions, 0u);
+        const double tax =
+            static_cast<double>(o.irqs + o.stats.kthread_wakeups) / 256.0;
+        EXPECT_LE(tax, 0.1);
+    }
+}
+
+TEST(Moderation, SeparateCoreBacklogRuleUnchanged)
+{
+    // On separate cores the pending lists do not count: the decisions
+    // on a fixed two-tenant stream are exactly those of the rule that
+    // only sees in-flight and lock-free queued requests. (Counting the
+    // lists here would turn the 125 interrupts into moderations.)
+    const PageStreamOutcome o =
+        run_page_stream(MemifConfig::tenanted(), {}, 2, 64);
+    EXPECT_EQ(o.done, 128u);
+    EXPECT_EQ(o.decisions.polled, 1u);
+    EXPECT_EQ(o.decisions.interrupt, 125u);
+    EXPECT_EQ(o.decisions.moderated, 0u);
+    EXPECT_EQ(o.decisions.cold_fallbacks, 1u);
 }
 
 }  // namespace

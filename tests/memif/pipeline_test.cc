@@ -19,6 +19,8 @@
 #include "memif/user_api.h"
 #include "os/kernel.h"
 #include "os/process.h"
+#include "sim/cost_model.h"
+#include "sim/cpu.h"
 #include "sim/types.h"
 
 namespace memif::core {
@@ -217,6 +219,80 @@ TEST(Pipeline, BatchedShootdownFlushesOncePerVma)
     // One VMA dirtied -> exactly one ranged flush instead of 32
     // per-page broadcasts.
     EXPECT_EQ(f.dev.stats().ranged_tlb_flushes, 1u);
+}
+
+/** Remap CPU time and address-space flush counts of one @p pages-page
+ *  migration whose old translations are cached in the TLB. */
+struct ShootdownOutcome {
+    sim::Duration remap = 0;
+    std::uint64_t page_flushes = 0;
+    std::uint64_t range_flushes = 0;
+    std::uint64_t ranged_tlb_flushes = 0;
+    bool stale_entry_left = false;
+};
+
+ShootdownOutcome
+migrate_with_warm_tlb(std::uint32_t pages, bool batched)
+{
+    MemifConfig cfg;
+    cfg.batched_tlb_shootdown = batched;
+    Fixture f(cfg);
+    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    f.fill(base, pages * 4096, 57);
+    os::TouchOutcome out;
+    for (std::uint32_t i = 0; i < pages; ++i) {
+        sim::Task t = f.proc.touch(base + i * 4096, false, &out);
+        f.kernel.run();
+        EXPECT_TRUE(f.proc.as().tlb().contains(base + i * 4096,
+                                               vm::PageSize::k4K));
+    }
+    const vm::VmStats before = f.proc.as().stats();
+    const sim::Duration remap_before =
+        f.kernel.cpu().accounting().op(sim::Op::kRemap);
+
+    const std::uint32_t idx =
+        f.submit(MovOp::kMigrate, base, pages, f.kernel.fast_node());
+    f.kernel.run();
+    EXPECT_EQ(f.user.request(idx).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(base, pages * 4096, 57));
+
+    ShootdownOutcome o;
+    o.remap = f.kernel.cpu().accounting().op(sim::Op::kRemap) - remap_before;
+    o.page_flushes =
+        f.proc.as().stats().tlb_page_flushes - before.tlb_page_flushes;
+    o.range_flushes =
+        f.proc.as().stats().tlb_range_flushes - before.tlb_range_flushes;
+    o.ranged_tlb_flushes = f.dev.stats().ranged_tlb_flushes;
+    for (std::uint32_t i = 0; i < pages; ++i)
+        o.stale_entry_left |= f.proc.as().tlb().contains(
+            base + i * 4096, vm::PageSize::k4K);
+    return o;
+}
+
+TEST(BatchedShootdown, SinglePageSpanUsesPageFlush)
+{
+    const sim::CostModel cm;
+    // One page: the batched span is flushed as a page, at exactly the
+    // per-page path's remap cost (pte_update + tlb_flush_page), not the
+    // ranged flush's base + per-page cost.
+    const ShootdownOutcome one = migrate_with_warm_tlb(1, true);
+    const ShootdownOutcome one_per_page = migrate_with_warm_tlb(1, false);
+    EXPECT_FALSE(one.stale_entry_left);
+    EXPECT_EQ(one.page_flushes, 1u);
+    EXPECT_EQ(one.range_flushes, 0u);
+    EXPECT_EQ(one.ranged_tlb_flushes, 0u);
+    EXPECT_EQ(one.remap, one_per_page.remap);
+    EXPECT_LT(cm.tlb_flush_page, cm.tlb_flush_range_time(1));
+
+    // Two pages: still one ranged flush, priced as a range.
+    const ShootdownOutcome two = migrate_with_warm_tlb(2, true);
+    const ShootdownOutcome two_per_page = migrate_with_warm_tlb(2, false);
+    EXPECT_FALSE(two.stale_entry_left);
+    EXPECT_EQ(two.page_flushes, 0u);
+    EXPECT_EQ(two.range_flushes, 1u);
+    EXPECT_EQ(two.ranged_tlb_flushes, 1u);
+    EXPECT_EQ(two.remap + 2 * cm.tlb_flush_page,
+              two_per_page.remap + cm.tlb_flush_range_time(2));
 }
 
 TEST(Pipeline, MultiTcDispatchSpreadsAcrossControllers)
