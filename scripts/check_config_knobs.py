@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Fail when a MemifConfig field is set by no caller.
+"""Fail when a MemifConfig field is set by no caller outside the presets.
 
 Lists the fields of `struct MemifConfig` in src/memif/device.h and
 searches src/, bench/, examples/, tests/ and memifbench/ for an
-assignment `.<field> =` (or a designated initializer). A field nobody
-sets has one value in use; such a knob belongs in the code as a named
-constant beside its reader. The preset functions in device.h count
-only for bool levers: a preset turning a lever on is that lever's use
-(the differential suite checks every lever is on in some preset),
-while a numeric knob needs a caller outside the presets.
+assignment `.<field> =` (or a designated initializer). The preset
+functions in device.h do not count as callers:
+
+- a numeric knob nobody sets has one value in use; it belongs in the
+  code as a named constant beside its reader;
+- a bool lever only the presets set is always on or off together with
+  the preset's other levers, so nothing runs, tests or measures it
+  apart from them; fold it into its siblings as one lever.
 
 Usage (from the repository root, or pass the root as the argument):
 
@@ -30,18 +32,17 @@ FIELD_RE = re.compile(
     r"^\s+([A-Za-z_][\w:<>]*)\s+([a-z_][a-z0-9_]*)\s*(=[^;]*)?;")
 
 
-def config_parts(header_text):
-    """(fields, preset text): the (type, name) pairs MemifConfig declares
-    before its preset functions, and the text of those functions."""
+def config_fields(header_text):
+    """The (type, name) pairs MemifConfig declares before its preset
+    functions."""
     start = header_text.index("struct MemifConfig {")
     end = header_text.index("static MemifConfig", start)
-    presets_end = header_text.index("\n};", end)
     fields = []
     for line in header_text[start:end].splitlines():
         m = FIELD_RE.match(line)
         if m:
             fields.append((m.group(1), m.group(2)))
-    return fields, header_text[end:presets_end]
+    return fields
 
 
 def source_files(root):
@@ -57,7 +58,7 @@ def source_files(root):
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     with open(os.path.join(root, HEADER), encoding="utf-8") as f:
-        fields, preset_text = config_parts(f.read())
+        fields = config_fields(f.read())
     if not fields:
         print("check_config_knobs: no MemifConfig fields found")
         return 1
@@ -67,22 +68,18 @@ def main():
         with open(path, encoding="utf-8") as f:
             text += f.read() + "\n"
 
-    def is_set(name, where):
-        return re.search(r"\." + name + r"\s*=(?!=)", where) is not None
-
-    unset = [name for ftype, name in fields
-             if not is_set(name, text) and
-             not (ftype == "bool" and is_set(name, preset_text))]
+    unset = [(ftype, name) for ftype, name in fields
+             if not re.search(r"\." + name + r"\s*=(?!=)", text)]
 
     print(f"check_config_knobs: {len(fields)} MemifConfig fields, "
           f"{len(fields) - len(unset)} set by a caller")
-    if unset:
-        for name in unset:
-            print(f"  FAIL: MemifConfig::{name} is set nowhere outside "
-                  f"the presets; make it a named constant beside its "
-                  f"reader")
-        return 1
-    return 0
+    for ftype, name in unset:
+        fix = ("fold it into the preset levers it always moves with"
+               if ftype == "bool" else
+               "make it a named constant beside its reader")
+        print(f"  FAIL: MemifConfig::{name} is set nowhere outside the "
+              f"presets; {fix}")
+    return 1 if unset else 0
 
 
 if __name__ == "__main__":

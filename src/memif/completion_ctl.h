@@ -1,7 +1,8 @@
 /**
  * @file
  * EWMA-driven hybrid completion controller (the adaptive replacement
- * for the paper's static poll_threshold_bytes, §5.4).
+ * for the paper's static poll_threshold_bytes, §5.4; on under
+ * MemifConfig::completion_batching).
  *
  * The paper's kernel thread picks polling vs. interrupts with one fixed
  * byte threshold. That is the right call for the calibrated KeyStone II
@@ -15,9 +16,8 @@
  *                 round-trip and the kthread has nothing else to do, so
  *                 burning the wait on the core is the cheap option;
  *   - kModerated  a backlog is building, so completions will coalesce
- *                 and one moderated IRQ retires the batch (or, with
- *                 completion_drain, the running kthread reaps it and the
- *                 IRQ never fires);
+ *                 and one moderated IRQ retires the batch (or the
+ *                 running kthread reaps it and the IRQ never fires);
  *   - kInterrupt  everything else (and whenever the prediction is too
  *                 noisy to trust — polling on a bad guess pins a core).
  *

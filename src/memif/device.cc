@@ -107,9 +107,6 @@ MemifDevice::MemifDevice(os::Kernel &kernel, os::Process &proc,
       daemon_wq_(kernel.eq()),
       staging_wq_(kernel.eq())
 {
-    // A zero batch keeps the cost model's moderation batch size.
-    if (config_.irq_moderation && config_.moderation_holdoff)
-        kernel_.dma().configure_moderation(0, config_.moderation_holdoff);
     // The young-fault hook serves two masters: kRecover's rollback
     // machinery, and (managed mode) the scanner's activity signal — a
     // trap on a scanner-armed page means the working set moved, so a
@@ -2044,7 +2041,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         fl->next_prefetch_batch = 3;
     }
     fl->irq_mode = irq_mode;
-    fl->moderated = moderated && irq_mode && config_.irq_moderation;
+    fl->moderated = moderated && irq_mode;
     // The PaRAM has 512 entries (Table 2); with several instances (or a
     // deep pipeline) in flight, wait until enough descriptors retire.
     // The gate is FIFO-fair: a PaRAM-sized request cannot starve behind
@@ -2172,37 +2169,42 @@ MemifDevice::on_dma_complete(InFlightPtr fl)
     // Retired inside a sibling's drain pass (the claim happens before
     // any suspension point, so this check is race-free in the DES).
     if (fl->completion_claimed) co_return;
-    if (kernel_.dma().status(fl->tid) == dma::TransferStatus::kError) {
-        // CC error interrupt (EDMA3 EMR): recover. A translation-gate
-        // fault (SVA walk error) is distinguished from a TC bus error
-        // here, before any suspension — the engine purges the errored
-        // record later and the stale id would read as faultless.
-        const bool xfault = kernel_.dma().gate_faulted(fl->tid);
+    // CC error interrupt (EDMA3 EMR): classify it before any
+    // suspension, then recover.
+    if (const MovError why = classify_dma_error(fl, ExecContext::kIrq);
+        why != MovError::kNone) {
         // Claim the flight BEFORE charging interrupt time: the engine
         // purges the errored record during that suspension, after which
         // a drain/reap pass querying the stale id would read a clean
         // completion and release the request while the recovery ladder
         // is still on its way to retry it.
         fl->completion_claimed = true;
-        const sim::CostModel &cm = kernel_.costs();
-        ++stats_.dma_errors;
-        kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaError,
-                                ExecContext::kIrq, fl->req_idx);
         co_await kernel_.cpu().busy(ExecContext::kIrq, Op::kSched,
-                                    cm.irq_overhead);
-        co_await handle_dma_failure(fl, ExecContext::kIrq,
-                                    xfault ? MovError::kXlateFault
-                                           : MovError::kDmaError);
+                                    kernel_.costs().irq_overhead);
+        co_await handle_dma_failure(fl, ExecContext::kIrq, why);
         wake_kthread();
         co_return;
     }
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaComplete,
                             ExecContext::kIrq, fl->req_idx);
-    if (config_.completion_drain) {
+    if (config_.completion_batching) {
         co_await drain_completions(std::move(fl));
         co_return;
     }
     co_await irq_complete(fl);
+}
+
+MovError
+MemifDevice::classify_dma_error(const InFlightPtr &fl, ExecContext ctx)
+{
+    if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kError)
+        return MovError::kNone;
+    ++stats_.dma_errors;
+    kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaError, ctx,
+                            fl->req_idx);
+    // A translation-gate fault (SVA walk error) is not a TC bus error.
+    return kernel_.dma().gate_faulted(fl->tid) ? MovError::kXlateFault
+                                               : MovError::kDmaError;
 }
 
 void
@@ -2210,7 +2212,7 @@ MemifDevice::observe_completion(const InFlightPtr &fl)
 {
     // Only clean first attempts teach the controller: a retry's span
     // covers backoff and watchdog slack, not DMA service time.
-    if (!config_.adaptive_polling || fl->dma_attempts != 1) return;
+    if (!config_.completion_batching || fl->dma_attempts != 1) return;
     completion_ctl_.observe(fl->total_bytes, fl->predicted,
                             kernel_.eq().now() - fl->dma_start_at);
 }
@@ -2227,31 +2229,8 @@ MemifDevice::drain_completions(InFlightPtr first)
     std::vector<InFlightPtr> batch;
     first->completion_claimed = true;
     batch.push_back(first);
-    for (const InFlightPtr &fl : in_flight_) {
-        if (fl == first || fl->completion_claimed || fl->aborted ||
-            !fl->irq_mode)
-            continue;
-        if (fl->tid == dma::kInvalidTransfer ||
-            !kernel_.dma().is_complete(fl->tid))
-            continue;
-        if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kOk)
-            continue;  // errors take their own recovery path
-        if (region_.request(fl->req_idx).load_status() !=
-            MovStatus::kInFlight)
-            continue;
-        fl->completion_claimed = true;
-        // A claimed sibling whose delivery is still held on another
-        // TC's timer must not cost a second (empty) IRQ when that
-        // timer fires; drop the delivery and return its lease. The
-        // reclaim is unconditional: if the sibling's interrupt was
-        // lost (not merely held), no callback will ever return the
-        // lease for us — and if the callback already ran, the lease
-        // is back in the cache and reclaim is a no-op.
-        kernel_.dma().discard_moderated(fl->tid);
-        kernel_.dma().reclaim(fl->tid);
-        disarm_watchdog(fl);
-        batch.push_back(fl);
-    }
+    for (const InFlightPtr &fl : in_flight_)
+        if (fl != first && claim_if_complete(fl)) batch.push_back(fl);
     stats_.irq_completions += batch.size();
     if (batch.size() > 1) {
         ++stats_.completion_drains;
@@ -2277,6 +2256,30 @@ MemifDevice::drain_completions(InFlightPtr first)
     wake_kthread();
 }
 
+bool
+MemifDevice::claim_if_complete(const InFlightPtr &fl)
+{
+    if (fl->completion_claimed || fl->aborted || !fl->irq_mode ||
+        fl->tid == dma::kInvalidTransfer ||
+        !kernel_.dma().is_complete(fl->tid))
+        return false;
+    // Errors take their own recovery path (their IRQ is never held).
+    if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kOk ||
+        region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
+        return false;
+    fl->completion_claimed = true;
+    // A claimed transfer whose delivery is still held on a TC's timer
+    // must not cost a second (empty) IRQ when that timer fires; drop
+    // the delivery and return its lease. The reclaim is unconditional:
+    // if the interrupt was lost (not merely held), no callback will
+    // ever return the lease for us — and if the callback already ran,
+    // the lease is back in the cache and reclaim is a no-op.
+    kernel_.dma().discard_moderated(fl->tid);
+    kernel_.dma().reclaim(fl->tid);
+    disarm_watchdog(fl);
+    return true;
+}
+
 sim::Task
 MemifDevice::reap_moderated()
 {
@@ -2286,26 +2289,8 @@ MemifDevice::reap_moderated()
     // (and its wakeup) is then only paid as a backstop when the thread
     // was asleep at delivery time.
     std::vector<InFlightPtr> batch;
-    for (const InFlightPtr &fl : in_flight_) {
-        if (!fl->moderated || !fl->irq_mode || fl->completion_claimed ||
-            fl->aborted)
-            continue;
-        if (fl->tid == dma::kInvalidTransfer ||
-            !kernel_.dma().is_complete(fl->tid))
-            continue;
-        if (kernel_.dma().status(fl->tid) != dma::TransferStatus::kOk)
-            continue;  // errors raise an unmoderated IRQ; not ours
-        if (region_.request(fl->req_idx).load_status() !=
-            MovStatus::kInFlight)
-            continue;
-        fl->completion_claimed = true;
-        // The discarded callback was what returned the descriptor
-        // lease; reclaim it ourselves (as the watchdog path does).
-        kernel_.dma().discard_moderated(fl->tid);
-        kernel_.dma().reclaim(fl->tid);
-        disarm_watchdog(fl);
-        batch.push_back(fl);
-    }
+    for (const InFlightPtr &fl : in_flight_)
+        if (fl->moderated && claim_if_complete(fl)) batch.push_back(fl);
     // One flight-table peek per pass, however many transfers it nets.
     kernel_.cpu().charge(ExecContext::kKthread, Op::kQueue,
                          kernel_.costs().queue_op);
@@ -2388,15 +2373,10 @@ MemifDevice::watchdog_expired(InFlightPtr fl)
         // flush cannot dispatch it a second time, reclaim the
         // descriptor chain, then proceed as usual.
         kernel_.dma().discard_moderated(fl->tid);
-        const dma::TransferStatus st = kernel_.dma().status(fl->tid);
+        const MovError why = classify_dma_error(fl, ExecContext::kIrq);
         kernel_.dma().reclaim(fl->tid);
-        if (st == dma::TransferStatus::kError) {
-            ++stats_.dma_errors;
-            kernel_.tracer().record(kernel_.eq().now(),
-                                    TracePoint::kDmaError,
-                                    ExecContext::kIrq, fl->req_idx);
-            co_await handle_dma_failure(fl, ExecContext::kIrq,
-                                        MovError::kDmaError);
+        if (why != MovError::kNone) {
+            co_await handle_dma_failure(fl, ExecContext::kIrq, why);
             wake_kthread();
         } else {
             kernel_.tracer().record(kernel_.eq().now(),
@@ -2746,6 +2726,15 @@ MemifDevice::wake_kthread()
     kthread_wq_.notify_one();
 }
 
+sim::Delay
+MemifDevice::tick_sleep(sim::SimTime until) const
+{
+    const sim::Duration tick = kernel_.costs().kthread_poll_interval;
+    const sim::Duration wait =
+        (until - kernel_.eq().now() + tick - 1) / tick * tick;
+    return sim::Delay{kernel_.eq(), wait};
+}
+
 sim::Task
 MemifDevice::kthread_loop()
 {
@@ -2757,8 +2746,7 @@ MemifDevice::kthread_loop()
     // retired by reap_moderated() below, and the coalesced IRQ is only
     // paid as a wakeup backstop when a completion lands while the
     // thread sleeps.
-    const bool reaping =
-        config_.irq_moderation && config_.completion_drain;
+    const bool reaping = config_.completion_batching;
     if (reaping) {
         k.dma().mask_moderation();
         kthread_masked_ = true;
@@ -2779,7 +2767,7 @@ MemifDevice::kthread_loop()
 
         // Releases the interrupt handler deferred (kPrevent only).
         if (!pending_release_.empty()) {
-            if (config_.completion_drain) {
+            if (config_.completion_batching) {
                 // Drain every deferred release in one pass, sharing a
                 // single batched ranged shootdown across requests.
                 co_await release_batch(std::exchange(pending_release_, {}),
@@ -2825,14 +2813,13 @@ MemifDevice::kthread_loop()
             // replaces the static rule when enabled, using the backlog
             // (completion_backlog) as the coalescing signal; it only
             // ever polls with an empty backlog, so the pipeline-stall
-            // concern cannot arise.
+            // concern cannot arise. A request with no page count
+            // (strided/gather, num_pages == 0) has no size to learn
+            // from; with batching on it is always moderated.
             CompletionMode mode;
-            if (config_.adaptive_polling && bytes > 0) {
+            if (config_.completion_batching && bytes > 0) {
                 const auto [queued, wrr_pending] = completion_backlog();
                 mode = completion_ctl_.choose(bytes, queued, wrr_pending);
-                if (mode == CompletionMode::kModerated &&
-                    !config_.irq_moderation)
-                    mode = CompletionMode::kInterrupt;
                 if (mode == CompletionMode::kPolled)
                     ++stats_.adaptive_polled;
                 else if (mode == CompletionMode::kModerated)
@@ -2844,7 +2831,7 @@ MemifDevice::kthread_loop()
                     !config_.multi_tc_dispatch && bytes > 0 &&
                     bytes < config_.poll_threshold_bytes;
                 mode = below ? CompletionMode::kPolled
-                       : config_.irq_moderation
+                       : config_.completion_batching
                            ? CompletionMode::kModerated
                            : CompletionMode::kInterrupt;
             }
@@ -2869,13 +2856,7 @@ MemifDevice::kthread_loop()
                         k.dma().completion_time(fl->tid);
                     const sim::SimTime now = k.eq().now();
                     if (done > now) {
-                        // Sleep in whole scheduler ticks: the worker
-                        // cannot wake at an arbitrary instant (§5.4
-                        // "sleeps shortly").
-                        const sim::Duration tick = cm.kthread_poll_interval;
-                        const sim::Duration wait =
-                            (done - now + tick - 1) / tick * tick;
-                        co_await sim::Delay{k.eq(), wait};
+                        co_await tick_sleep(done);
                     } else {
                         co_await sim::Yield{k.eq()};
                     }
@@ -2902,19 +2883,11 @@ MemifDevice::kthread_loop()
                             fl, ExecContext::kKthread, MovError::kTimeout);
                         continue;
                     }
-                    if (k.dma().status(fl->tid) ==
-                        dma::TransferStatus::kError) {
-                        const bool xfault =
-                            k.dma().gate_faulted(fl->tid);
-                        ++stats_.dma_errors;
-                        k.tracer().record(k.eq().now(),
-                                          TracePoint::kDmaError,
-                                          ExecContext::kKthread,
-                                          fl->req_idx);
+                    if (const MovError why =
+                            classify_dma_error(fl, ExecContext::kKthread);
+                        why != MovError::kNone) {
                         co_await handle_dma_failure(
-                            fl, ExecContext::kKthread,
-                            xfault ? MovError::kXlateFault
-                                   : MovError::kDmaError);
+                            fl, ExecContext::kKthread, why);
                         continue;
                     }
                     k.tracer().record(k.eq().now(),
@@ -2932,7 +2905,7 @@ MemifDevice::kthread_loop()
         // complete without a (prompt) interrupt; instead of parking and
         // paying the backstop IRQ + wakeup, nap until the earliest
         // predicted completion and reap it at the top of the loop.
-        if (config_.irq_moderation && config_.completion_drain) {
+        if (reaping) {
             sim::SimTime earliest = 0;
             bool have = false;
             for (const InFlightPtr &fl : in_flight_) {
@@ -2946,15 +2919,10 @@ MemifDevice::kthread_loop()
                 }
             }
             if (have) {
-                // Whole scheduler ticks, as in the polled path: the
-                // worker cannot wake at an arbitrary instant. A stuck
-                // transfer is not napped on forever — once its
+                // A stuck transfer is not napped on forever — once its
                 // predicted completion is in the past the loop falls
                 // through to a real sleep and the watchdog takes over.
-                const sim::Duration tick = cm.kthread_poll_interval;
-                const sim::Duration wait =
-                    (earliest - k.eq().now() + tick - 1) / tick * tick;
-                co_await sim::Delay{k.eq(), wait};
+                co_await tick_sleep(earliest);
                 continue;
             }
         }
@@ -3038,7 +3006,7 @@ MemifDevice::ioctl_mov_one()
     InFlightPtr fl;
     co_await serve_request(next, ExecContext::kSyscall,
                            /*irq_mode=*/true, &fl,
-                           /*moderated=*/config_.irq_moderation);
+                           /*moderated=*/config_.completion_batching);
     // If no transfer started (validation/resource failure), there is no
     // completion interrupt coming: hand the rest to the worker now.
     if (!fl) wake_kthread();

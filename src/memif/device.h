@@ -131,30 +131,21 @@ struct MemifConfig {
     ///@}
 
     /**
-     * @name Completion-batching levers (this PR; off by default so the
-     * paper-reproduction figures keep their exact shapes; moderated()
-     * turns them on atop pipelined() for the "memif-moderated" series).
+     * Completion batching (off by default so the paper-reproduction
+     * figures keep their exact shapes; moderated() turns it on atop
+     * pipelined() for the "memif-moderated" series). One lever for
+     * three mechanisms that only work together:
+     *  - CompletionController replaces the static poll_threshold_bytes
+     *    rule, learning per-size completion times online and choosing
+     *    polled / interrupt / moderated-interrupt per transfer;
+     *  - a moderated completion IRQ is held in the engine's per-TC
+     *    batch, and the awake kernel thread masks it and reaps the
+     *    completion from the flight table (NAPI) or naps until it lands;
+     *  - the first handler of a coalesced IRQ drains every completed
+     *    sibling in one pass: one IRQ-entry charge, one kthread wakeup,
+     *    and (under kPrevent) one shared ranged TLB shootdown.
      */
-    ///@{
-    /** Hold completion IRQs in the engine's per-TC moderation batch:
-     *  one coalesced IRQ retires up to the cost model's
-     *  dma_moderation_batch chains (or whatever finished within the
-     *  holdoff of the first). */
-    bool irq_moderation = false;
-    /** Override for the cost model's moderation holdoff (0 = keep the
-     *  cost-model default). */
-    sim::Duration moderation_holdoff = 0;
-    /** Multi-request completion drain: the first handler of a coalesced
-     *  IRQ claims every completed interrupt-mode transfer and retires
-     *  them in one pass — one IRQ-entry charge, one kthread wakeup, and
-     *  (under kPrevent) one shared ranged TLB shootdown. */
-    bool completion_drain = false;
-    /** EWMA-driven hybrid polling: replace the static
-     *  poll_threshold_bytes rule with CompletionController, which
-     *  learns per-size completion times online and switches each
-     *  transfer between polled / interrupt / moderated-interrupt. */
-    bool adaptive_polling = false;
-    ///@}
+    bool completion_batching = false;
 
     /**
      * @name Submission-path levers (this PR; off by default so the
@@ -309,15 +300,13 @@ struct MemifConfig {
         return c;
     }
 
-    /** pipelined() plus the completion-batching levers (the
-     *  "memif-moderated" series). */
+    /** pipelined() plus completion batching (the "memif-moderated"
+     *  series). */
     static MemifConfig
     moderated()
     {
         MemifConfig c = pipelined();
-        c.irq_moderation = true;
-        c.completion_drain = true;
-        c.adaptive_polling = true;
+        c.completion_batching = true;
         return c;
     }
 
@@ -855,6 +844,12 @@ class MemifDevice {
      *  bail out) and retires them all under one IRQ-entry charge and
      *  one kthread wakeup. */
     sim::Task drain_completions(InFlightPtr first);
+    /** Claim-and-collect (shared by the drain and the reap): take
+     *  ownership of @p fl if its interrupt-mode transfer completed
+     *  cleanly and no other path owns it — drop its held moderated
+     *  delivery, return its descriptor lease, disarm the watchdog.
+     *  Never suspends. */
+    bool claim_if_complete(const InFlightPtr &fl);
 
     sim::Task reap_moderated();
     /** Release @p batch from the kernel thread under one shared
@@ -867,6 +862,10 @@ class MemifDevice {
     void observe_completion(const InFlightPtr &fl);
     /** The worker (§5.4 kernel-thread path). */
     sim::Task kthread_loop();
+    /** Sleep until @p until, rounded up to whole scheduler ticks: the
+     *  worker cannot wake at an arbitrary instant (§5.4 "sleeps
+     *  shortly"). */
+    sim::Delay tick_sleep(sim::SimTime until) const;
     void wake_kthread();
 
     /** Validation of one user-supplied request (§4.2 safety). */
@@ -893,6 +892,12 @@ class MemifDevice {
     /** Completion-interrupt dispatcher: routes to irq_complete or, on a
      *  TC error, into the recovery ladder. */
     sim::Task on_dma_complete(InFlightPtr fl);
+    /** kNone if @p fl's completed transfer is clean; otherwise count
+     *  and trace (in @p ctx) the error and return what the recovery
+     *  ladder sees: kXlateFault for a translation-gate fault, kDmaError
+     *  for a TC bus error. Must run before the errored record is
+     *  reclaimed or purged, whose stale id reads as faultless. */
+    MovError classify_dma_error(const InFlightPtr &fl, sim::ExecContext ctx);
     /** When supervision of transfer @p tid, started now, gives up:
      *  its remaining predicted time × kWatchdogMargin + kWatchdogSlack
      *  (the flight watchdog and the chain hops' deadline timers). */

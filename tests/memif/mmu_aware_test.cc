@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "dma/engine.h"
@@ -323,36 +324,53 @@ TEST(MmuAware, SvaWalkFaultSurfacesAsXlateFaultWithoutTheLadder)
     EXPECT_EQ(f.dev.stats().sva_faults, 1u);
 }
 
+/** uncoalesced_mmu_aware() on the static completion rule and one TC,
+ *  so a small request the kernel thread serves is polled (multi-TC
+ *  dispatch and the adaptive controller keep everything irq-driven). */
+MemifConfig
+polled_mmu_aware()
+{
+    MemifConfig c = uncoalesced_mmu_aware();
+    c.completion_batching = false;
+    c.multi_tc_dispatch = false;
+    return c;
+}
+
+/** Submit two 16-page replications back to back from one app task:
+ *  the first is kicked and irq-driven, the second (64 KB, below the
+ *  poll threshold) lands in the queue the kernel thread owns and is
+ *  served in polled mode. Returns their request indices. */
+std::pair<std::uint32_t, std::uint32_t>
+replicate_kicked_then_polled(Fixture &f, vm::VAddr src, vm::VAddr dst)
+{
+    std::pair<std::uint32_t, std::uint32_t> idx{kNoRequest, kNoRequest};
+    auto app = [&]() -> sim::Task {
+        for (int r = 0; r < 2; ++r) {
+            const std::uint32_t i = f.user.alloc_request();
+            MovReq &req = f.user.request(i);
+            req.op = MovOp::kReplicate;
+            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
+            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
+            req.num_pages = 16;
+            (r == 0 ? idx.first : idx.second) = i;
+            co_await f.user.submit(i);
+        }
+    };
+    f.kernel.spawn(app());
+    f.kernel.run();
+    return idx;
+}
+
 TEST(MmuAware, PolledSvaStreamCompletes)
 {
-    MemifConfig cfg = uncoalesced_mmu_aware();
-    cfg.adaptive_polling = false;    // static rule: small => polled
-    cfg.multi_tc_dispatch = false;   // (multi-TC keeps everything irq)
-    Fixture f(cfg);
+    Fixture f(polled_mmu_aware());
     const std::uint32_t pages = 32;
     const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
     const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
                                       f.kernel.fast_node());
     f.fill(src, pages * 4096, 58);
 
-    // The kicked first request is irq-driven; the second small one
-    // (64 KB, below the poll threshold) is served by the kernel
-    // thread in polled mode.
-    std::uint32_t idx0 = kNoRequest, idx1 = kNoRequest;
-    auto app = [&]() -> sim::Task {
-        for (int r = 0; r < 2; ++r) {
-            const std::uint32_t idx = f.user.alloc_request();
-            MovReq &req = f.user.request(idx);
-            req.op = MovOp::kReplicate;
-            req.src_base = src + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.dst_base = dst + static_cast<vm::VAddr>(r) * 16 * 4096;
-            req.num_pages = 16;
-            (r == 0 ? idx0 : idx1) = idx;
-            co_await f.user.submit(idx);
-        }
-    };
-    f.kernel.spawn(app());
-    f.kernel.run();
+    const auto [idx0, idx1] = replicate_kicked_then_polled(f, src, dst);
 
     // The kernel thread's polled wait tolerates gate stalls pushing
     // the completion estimate: it re-sleeps instead of declaring the
@@ -363,6 +381,41 @@ TEST(MmuAware, PolledSvaStreamCompletes)
     EXPECT_EQ(f.dev.stats().polled_completions, 1u);
     EXPECT_EQ(f.dev.stats().watchdog_timeouts, 0u);
     EXPECT_EQ(f.kernel.dma_engine().stats().gated_transfers, 2u);
+}
+
+TEST(MmuAware, PolledSvaWalkFaultSurfacesAsXlateFault)
+{
+    // The polled wait classifies a gate fault exactly as the IRQ path
+    // does (SvaWalkFaultSurfacesAsXlateFaultWithoutTheLadder).
+    MemifConfig cfg = polled_mmu_aware();
+    cfg.cpu_copy_fallback = false;
+    cfg.dma_max_retries = 0;
+    Fixture f(cfg);
+    const std::uint32_t pages = 32;
+    const vm::VAddr src = f.proc.mmap(pages * 4096, vm::PageSize::k4K);
+    const vm::VAddr dst = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
+                                      f.kernel.fast_node());
+    f.fill(src, pages * 4096, 58);
+    // Pre-existing content where the polled request would write.
+    f.fill(dst + 16 * 4096, 16 * 4096, 99);
+    // One TC serialises the chains, so the first request consumes
+    // gate checks 1-16 and the polled one's first descriptor is 17th.
+    f.faults().arm_nth(kFaultSvaWalk, 17);
+
+    const auto [idx0, idx1] = replicate_kicked_then_polled(f, src, dst);
+
+    EXPECT_EQ(f.user.request(idx0).load_status(), MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 16 * 4096, 58));
+    EXPECT_EQ(f.user.request(idx1).load_status(), MovStatus::kFailed);
+    EXPECT_EQ(f.user.request(idx1).error, MovError::kXlateFault);
+    EXPECT_TRUE(f.check(dst + 16 * 4096, 16 * 4096, 99));
+    const DeviceStats &ds = f.dev.stats();
+    EXPECT_EQ(ds.sva_faults, 1u);
+    EXPECT_EQ(ds.dma_errors, 1u);
+    EXPECT_EQ(ds.watchdog_timeouts, 0u);
+    // Only the kicked transfer raised an interrupt: the faulted one
+    // was supervised by the polled wait.
+    EXPECT_EQ(f.kernel.dma_engine().stats().interrupts_raised, 1u);
 }
 
 TEST(MmuAware, LeversOffStaysOnThePrePinnedPath)

@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests for the completion-batching levers: engine-level interrupt
+ * Tests for the completion_batching lever: engine-level interrupt
  * moderation (count threshold, holdoff timer, NAPI-style masking,
  * error bypass), the EWMA completion controller, the multi-request
  * completion drain, kernel-thread reaping, and both race policies
- * under the full moderated() configuration. Every lever must be
+ * under the full moderated() configuration. The lever must be
  * invisible except in time and counters: final memory images and
  * request statuses match the default path exactly.
  */
@@ -337,8 +337,9 @@ TEST(Moderation, BackstopDrainRetiresCoalescedBatchInOnePass)
     // both watchdog deadlines.
     MemifConfig cfg = MemifConfig::moderated();
     cfg.multi_tc_dispatch = false;  // same TC -> one moderation batch
-    cfg.moderation_holdoff = sim::microseconds(16);
     Fixture f(cfg);
+    // A zero batch keeps the cost model's moderation batch size.
+    f.kernel.dma_engine().configure_moderation(0, sim::microseconds(16));
     const vm::VAddr src = f.proc.mmap(18 * 4096, vm::PageSize::k4K);
     const vm::VAddr dst =
         f.proc.mmap(18 * 4096, vm::PageSize::k4K, f.kernel.fast_node());

@@ -133,11 +133,9 @@ TEST(SubmissionLevers, AllOffByDefaultAllOnInScaled)
     EXPECT_TRUE(scaled.xlate_cache);
     EXPECT_TRUE(scaled.bulk_alloc);
     EXPECT_TRUE(scaled.percpu_rings);
-    // scaled() stacks on the PR 3 completion-batching levers.
-    const MemifConfig moderated = MemifConfig::moderated();
-    EXPECT_EQ(scaled.irq_moderation, moderated.irq_moderation);
-    EXPECT_EQ(scaled.completion_drain, moderated.completion_drain);
-    EXPECT_EQ(scaled.adaptive_polling, moderated.adaptive_polling);
+    // scaled() stacks on moderated()'s completion batching.
+    EXPECT_EQ(scaled.completion_batching,
+              MemifConfig::moderated().completion_batching);
 }
 
 TEST(SubmissionLevers, DefaultConfigTouchesNoNewMachinery)
