@@ -42,10 +42,9 @@ struct CellOutcome {
  * One fresh machine per cell (regions would otherwise accumulate
  * across runs). The device runs the strided preset minus the levers
  * that add nondeterministic traffic to a single-application bench:
- * no tenant admission, no migration daemon, no far tier — and with
- * SVA routing off, since the scratchpad staging buffers are pinned
- * up front, which also exercises the genuine 2D descriptor path
- * (SVA streams carry strided rows as per-row translation slots).
+ * no tenant admission, no migration daemon, no far tier. SVA routing
+ * stays on as shipped; tile staging is strided, so it is pre-pinned
+ * and takes the genuine 2D descriptor path regardless.
  */
 CellOutcome
 run_cell(const wl::TileMatmulConfig &mm)
@@ -54,7 +53,6 @@ run_cell(const wl::TileMatmulConfig &mm)
     mc.multi_tenant = false;
     mc.auto_migrate = false;
     mc.tiered_memory = false;
-    mc.sva_dma = false;
     TestBed bed(mc);
     core::RegisterDeviceFile("/dev/memif0", bed.dev);
     const int fd = core::MemifOpen("/dev/memif0");

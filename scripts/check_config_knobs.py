@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail when a MemifConfig field is set by no caller outside the presets.
+"""Fail on a MemifConfig field no caller sets, or an env var read under src/.
 
 Lists the fields of `struct MemifConfig` in src/memif/device.h and
 searches src/, bench/, examples/, tests/ and memifbench/ for an
@@ -12,11 +12,19 @@ functions in device.h do not count as callers:
   the preset's other levers, so nothing runs, tests or measures it
   apart from them; fold it into its siblings as one lever.
 
+An environment variable read by the library is a settable option too,
+one that no preset, test or bench can see. So any `getenv` call in a
+source file under src/ fails the check as well: a lever belongs in
+MemifConfig, and debug output belongs in the stats or the tracer.
+Benches, tests and examples (outside src/) may still read env vars,
+e.g. MEMIF_BENCH_QUICK and MEMIF_CHECK_SEEDS.
+
 Usage (from the repository root, or pass the root as the argument):
 
     python3 scripts/check_config_knobs.py [repo_root]
 
-Exit status: 0 when every field has a caller, 1 otherwise.
+Exit status: 0 when every field has a caller and src/ reads no env
+var, 1 otherwise.
 """
 
 import os
@@ -26,6 +34,8 @@ import sys
 HEADER = os.path.join("src", "memif", "device.h")
 SEARCH_DIRS = ["src", "bench", "examples", "tests", "memifbench"]
 SOURCE_EXTS = (".h", ".cc", ".cpp")
+LIBRARY_DIR = "src"
+GETENV_RE = re.compile(r"\bgetenv\s*\(")
 
 # `    std::uint32_t name = 4;` / `    RacePolicy name = ...;` / `bool x;`
 FIELD_RE = re.compile(
@@ -45,14 +55,25 @@ def config_fields(header_text):
     return fields
 
 
-def source_files(root):
-    for d in SEARCH_DIRS:
+def source_files(root, dirs=SEARCH_DIRS):
+    for d in dirs:
         for dirpath, _, names in os.walk(os.path.join(root, d)):
             for name in names:
                 if name.endswith(SOURCE_EXTS):
                     path = os.path.join(dirpath, name)
                     if os.path.relpath(path, root) != HEADER:
                         yield path
+
+
+def library_getenvs(root):
+    """(path, line number) of every getenv call under src/."""
+    hits = []
+    for path in source_files(root, [LIBRARY_DIR]):
+        with open(path, encoding="utf-8") as f:
+            for n, line in enumerate(f, 1):
+                if GETENV_RE.search(line):
+                    hits.append((os.path.relpath(path, root), n))
+    return sorted(hits)
 
 
 def main():
@@ -79,7 +100,13 @@ def main():
                "make it a named constant beside its reader")
         print(f"  FAIL: MemifConfig::{name} is set nowhere outside the "
               f"presets; {fix}")
-    return 1 if unset else 0
+    getenvs = library_getenvs(root)
+    print(f"check_config_knobs: {len(getenvs)} getenv calls under "
+          f"{LIBRARY_DIR}/")
+    for path, n in getenvs:
+        print(f"  FAIL: {path}:{n} reads an environment variable; make it "
+              f"a MemifConfig field or drop it")
+    return 1 if unset or getenvs else 0
 
 
 if __name__ == "__main__":

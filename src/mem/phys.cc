@@ -1,16 +1,38 @@
 #include "mem/phys.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "sim/log.h"
 
 namespace memif::mem {
 
+namespace {
+
+/** Fresh zero-filled anonymous pages, or null when @p bytes cannot be
+ *  mapped. */
+std::byte *
+map_zero_pages(std::uint64_t bytes)
+{
+    void *p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    return p == MAP_FAILED ? nullptr : static_cast<std::byte *>(p);
+}
+
+}  // namespace
+
+void
+MemoryNode::Unmap::operator()(std::byte *p) const
+{
+    ::munmap(p, bytes);
+}
+
 MemoryNode::MemoryNode(NodeId id, Pfn base_pfn, const NodeConfig &cfg)
     : id_(id),
       base_(base_pfn),
       cfg_(cfg),
-      backing_(static_cast<std::byte *>(std::calloc(cfg.bytes, 1))),
+      backing_(map_zero_pages(cfg.bytes), Unmap{cfg.bytes}),
       buddy_(cfg.bytes >> kPageShift),
       frames_(cfg.bytes >> kPageShift)
 {

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -159,15 +158,17 @@ class MemoryNode {
     NodeId id_;
     Pfn base_;
     NodeConfig cfg_;
-    /** Frees calloc()ed backing. */
-    struct FreeBacking {
-        void operator()(std::byte *p) const { std::free(p); }
+    /** Unmaps the backing mapping. */
+    struct Unmap {
+        std::uint64_t bytes = 0;
+        void operator()(std::byte *p) const;
     };
-    /** Zero-filled by calloc, whose large blocks come straight from
-     *  fresh anonymous pages: the host faults zero pages in as the
-     *  simulation first touches them instead of clearing the whole
-     *  node up front. */
-    std::unique_ptr<std::byte[], FreeBacking> backing_;
+    /** A private anonymous mapping, not a malloc block: the host faults
+     *  zero pages in as the simulation first touches them, and a
+     *  torn-down node returns its pages at once. (glibc's dynamic mmap
+     *  threshold serves calloc blocks up to 32 MB from the brk heap
+     *  after the first large free, where they stay resident.) */
+    std::unique_ptr<std::byte[], Unmap> backing_;
     BuddyAllocator buddy_;
     std::vector<PageFrame> frames_;
 };

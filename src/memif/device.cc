@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -569,8 +568,6 @@ MemifDevice::print_stats(std::FILE *out) const
                          s.promotions_skipped_full));
         std::fprintf(out, "  heat_ping_pongs       %12llu\n",
                      static_cast<unsigned long long>(heat_ping_pongs()));
-        if (std::getenv("MEMIF_HEAT_HISTOGRAM"))
-            print_heat_histogram(out);
     }
     if (config_.tiered_memory) {
         std::fprintf(out, "  chained_migrations    %12llu\n",
@@ -1551,12 +1548,13 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     std::uint64_t cached_src_gen = 0;
     // SVA-routed streams defer translation to consumption time (the
     // engine's per-descriptor gate): prep pays only the submission-side
-    // probe, so large-SG walks no longer serialise before submit.
-    // Gather stays pre-pinned: its rows carry no forward-marching
-    // virtual span for the gate to re-resolve (a row may precede
-    // src_base entirely), so it takes the classic translated path.
+    // probe, so large-SG walks no longer serialise before submit. Only
+    // flat replications stream. Strided and gather requests are
+    // pre-pinned: their rows are translated here, pitched rows fold
+    // into 2D descriptors, the list coalesces like any other, and
+    // nothing re-walks it at consumption time.
     const bool sva_stream =
-        config_.sva_dma && req.op == MovOp::kReplicate && !gather;
+        config_.sva_dma && req.op == MovOp::kReplicate && !strided;
     for (std::uint64_t r = 0; r < lookup_regions; ++r) {
         const LookupRegion &lr = lookups[r];
         if (sva_stream) {
@@ -1808,8 +1806,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // backing 4 KB frames are contiguous, so a segment is one flat
         // physically contiguous run. Adjacent single-segment rows whose
         // physical starts line up with the pitches re-merge into true
-        // 2D (A/B-count) descriptors; SVA streams skip the merge, as
-        // the consumption-time gate needs the 1:1 slot <-> entry map.
+        // 2D (A/B-count) descriptors. Strided requests are pre-pinned
+        // under every preset: nothing re-walks these rows later.
         ++stats_.strided_requests;
         if (gather) ++stats_.gather_requests;
         stats_.strided_rows_moved += req.rows;
@@ -1888,7 +1886,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                 const std::uint64_t dpa =
                     (dpte.pfn << mem::kPageShift) + d_off;
                 dma::SgEntry *last = sg.empty() ? nullptr : &sg.back();
-                if (!sva_stream && !gather && segs == 0 &&
+                if (!gather && segs == 0 &&
                     seg == req.row_bytes && last &&
                     last->bytes == req.row_bytes &&
                     last->rows < 0xFFFF &&
@@ -1904,13 +1902,6 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
                                               req.src_pitch,
                                               req.dst_pitch});
                 }
-                if (sva_stream) {
-                    XlateSlot s;
-                    s.src_va = sva;
-                    s.dst_va = dva;
-                    s.bytes = seg;
-                    fl->slots.push_back(s);
-                }
                 done += seg;
                 ++segs;
             }
@@ -1921,7 +1912,6 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         if (sg.size() > dma::DescriptorRam::kEntries) {
             // Page-boundary splitting blew past the PaRAM; reject
             // rather than deadlock on a reservation that cannot fit.
-            fl->slots.clear();
             co_await cpu.busy(ctx, Op::kNotify, cm.queue_op);
             notify(idx, MovStatus::kFailed, MovError::kBadRequest);
             co_return;
@@ -1998,10 +1988,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // collapse into one variable-size descriptor each. The list is
     // coalesced once, here — retries and the CPU fallback then replay
     // the coalesced SG verbatim.
-    if (config_.sg_coalescing && !(strided && sva_stream)) {
-        // (A strided SVA stream keeps its list verbatim: slots were
-        // built 1:1 with the per-segment entries above, and the gate
-        // depends on that alignment.)
+    if (config_.sg_coalescing) {
         const std::size_t raw_entries = sg.size();
         sg = coalesce_sg(sg);
         stats_.descriptor_writes_saved += raw_entries - sg.size();
@@ -2010,14 +1997,12 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // The SG list is kept on the in-flight record: retries and the CPU
     // fallback replay it after a transfer failure.
     fl->sg = std::move(sg);
-    if (sva_stream && !strided) {
+    if (sva_stream) {
         // SVA routing: one virtual span per descriptor; the engine's
         // gate re-resolves each through the live page tables at
         // consumption time. Chunks were emitted at increasing region
         // offsets and coalescing preserves that order, so the spans
-        // fall out of the cumulative byte offsets. (Strided streams
-        // built their slots in the segment walk above — pitched spans
-        // do not fall out of cumulative offsets.)
+        // fall out of the cumulative byte offsets.
         fl->slots.reserve(fl->sg.size());
         std::uint64_t off = 0;
         for (const dma::SgEntry &e : fl->sg) {
@@ -2028,8 +2013,6 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
             fl->slots.push_back(s);
             off += e.bytes;
         }
-    }
-    if (sva_stream && !fl->slots.empty()) {
         // Translate only the first window before submit (walked here
         // unless the gang cache already holds it); the next two are
         // handed to the asynchronous walker, and the gate keeps it two

@@ -202,9 +202,10 @@ struct MemifConfig {
      * atop tenanted() for the "memif-mmu-aware" series).
      */
     ///@{
-    /** SVA-routed DMA (IOMMU-SVA framing): replication streams drop
-     *  the pre-pinned physical SG contract — the engine resolves each
-     *  descriptor through the live page tables at consumption time.
+    /** SVA-routed DMA (IOMMU-SVA framing): flat replication streams
+     *  drop the pre-pinned physical SG contract — the engine resolves
+     *  each descriptor through the live page tables at consumption
+     *  time (strided and gather requests stay pre-pinned).
      *  Translation runs ahead of the stream one window of descriptors
      *  at a time: a window the per-tenant XlateCache already covers is
      *  ready at once, the first other window is walked at prep, later
@@ -664,8 +665,9 @@ class MemifDevice {
     /** Hot-state flips within the ping-pong window, summed over all
      *  managed regions (placement-stability tripwire). */
     std::uint64_t heat_ping_pongs() const;
-    /** Dump each managed region's heat histogram (8 score octiles) —
-     *  also triggered by print_stats when MEMIF_HEAT_HISTOGRAM is set. */
+    /** Dump each managed region's heat histogram (8 score octiles, plus
+     *  per-tier residency under the three-way verdict). print_stats
+     *  does not call it; callers that want the histogram do. */
     void print_heat_histogram(std::FILE *out) const;
     ///@}
 
@@ -698,7 +700,7 @@ class MemifDevice {
 
     /** One SVA-routed descriptor's virtual span: what the engine's
      *  translation gate re-resolves through the live page tables at
-     *  consumption time (sva_dma replication streams only). */
+     *  consumption time (sva_dma flat replication streams only). */
     struct XlateSlot {
         vm::VAddr src_va = 0;
         vm::VAddr dst_va = 0;

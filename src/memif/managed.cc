@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sim/cost_model.h"
 #include "sim/log.h"
@@ -372,19 +371,6 @@ MemifDevice::scan_loop()
         // does not roll over (the cap is a rate, not a credit line).
         daemon_budget_ = config_.migrate_pages_per_epoch;
         if (has_work && daemon_parked_) daemon_wq_.notify_one();
-        if (std::getenv("MEMIF_DEBUG_MANAGED"))
-            std::fprintf(stderr,
-                         "scan now=%llu scans=%llu acc=%d work=%d hot=%d "
-                         "out=%llu p=%llu/%llu d=%llu/%llu drop=%llu\n",
-                         (unsigned long long)k.eq().now(),
-                         (unsigned long long)stats_.heat_scans,
-                         (int)any_accessed, (int)has_work, (int)still_hot,
-                         (unsigned long long)daemon_outstanding_,
-                         (unsigned long long)stats_.promotions_issued,
-                         (unsigned long long)stats_.promotions_completed,
-                         (unsigned long long)stats_.demotions_issued,
-                         (unsigned long long)stats_.demotions_completed,
-                         (unsigned long long)stats_.daemon_movs_dropped);
         if (!any_accessed && !has_work && !still_hot &&
             daemon_outstanding_ == 0)
             ++scan_quiet_epochs_;
@@ -577,12 +563,6 @@ MemifDevice::daemon_request_done(std::uint32_t idx, MovStatus status)
         const bool transient = status == MovStatus::kRaceDetected ||
                                status == MovStatus::kAborted ||
                                failed.error == MovError::kBusy;
-        if (std::getenv("MEMIF_DEBUG_MANAGED"))
-            std::fprintf(stderr,
-                         "daemon drop bucket=%llu status=%u error=%u "
-                         "transient=%d\n",
-                         (unsigned long long)dm.bucket, (unsigned)status,
-                         (unsigned)failed.error, (int)transient);
         if (mr)
             mr->cooldown[dm.bucket] =
                 transient ? 1 : kDaemonFailCooldown;

@@ -296,10 +296,11 @@ TEST(Differential, StridedWorkloadsMatchTheModel)
         const Workload w =
             generate_workload(seed, /*invalidation_storm=*/false,
                               /*heat_churn=*/false, /*strided=*/true);
-        // Leg 1: the full preset (SVA on — strided requests ride the
-        // translation stream as 1:1 flat slots, so rows never merge).
-        // Leg 2: the same config minus sva_dma, where whole rows merge
-        // into genuine 2D descriptors — both must match the oracle.
+        // Leg 1: the full preset (SVA on). Leg 2: the same config
+        // minus sva_dma. Strided requests are pre-pinned and fold into
+        // 2D descriptors in both, so the legs differ only on the flat
+        // replications mixed into the stream — both must match the
+        // oracle.
         core::MemifConfig nosva = p.config;
         nosva.sva_dma = false;
         for (const core::MemifConfig &cfg : {p.config, nosva}) {
