@@ -91,7 +91,7 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place)
     const Shape sh = shape();
     core::MemifConfig mc = place == Placement::kManaged
                                ? core::MemifConfig::managed()
-                               : core::MemifConfig::mmu_aware();
+                               : core::MemifConfig::tenanted();
     if (place == Placement::kManaged) {
         // The cell's hot set is hundreds of pages; the default trickle
         // budget would spend the whole run converging.

@@ -42,9 +42,9 @@ struct CellOutcome {
  * One fresh machine per cell (regions would otherwise accumulate
  * across runs). The device runs the strided preset minus the levers
  * that add nondeterministic traffic to a single-application bench:
- * no tenant admission, no migration daemon, no far tier. SVA routing
- * stays on as shipped; tile staging is strided, so it is pre-pinned
- * and takes the genuine 2D descriptor path regardless.
+ * no tenant admission, no migration daemon, no far tier. Tile staging
+ * is strided, so it is pre-pinned and takes the genuine 2D descriptor
+ * path.
  */
 CellOutcome
 run_cell(const wl::TileMatmulConfig &mm)

@@ -30,7 +30,6 @@ presets()
         {"moderated", MemifConfig::moderated()},
         {"scaled", MemifConfig::scaled()},
         {"tenanted", MemifConfig::tenanted()},
-        {"mmu_aware", MemifConfig::mmu_aware()},
         {"managed", MemifConfig::managed()},
         {"tiered", MemifConfig::tiered()},
         {"strided", MemifConfig::strided()},

@@ -38,8 +38,8 @@ struct Preset {
 };
 
 /** The eight standard presets: levers-off, pipelined, moderated,
- *  scaled, tenanted, mmu_aware, managed, tiered (each a superset of
- *  the previous one's levers). */
+ *  scaled, tenanted, managed, tiered, strided (each a superset of the
+ *  previous one's levers). */
 const std::vector<Preset> &presets();
 
 struct RunOptions {

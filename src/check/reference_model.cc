@@ -217,7 +217,6 @@ error_name(MovError err)
         case MovError::kDmaError: return "kDmaError";
         case MovError::kTimeout: return "kTimeout";
         case MovError::kNoSpace: return "kNoSpace";
-        case MovError::kXlateFault: return "kXlateFault";
     }
     return "?";
 }

@@ -358,10 +358,10 @@ generate_workload(std::uint64_t seed, bool invalidation_storm,
         w.ops.push_back(std::move(op));
         // Invalidation storm: chase every valid mov with same-instant
         // touches on its own pages. Each touch young/dirty-CASes a PTE
-        // the request translated (or is still prefetching), firing the
-        // xlate-invalidate hook mid-flight. Touches are exempt from the
-        // disjointness invariant, so this only perturbs PTE/cache
-        // state, never final bytes.
+        // the request translated, firing the xlate-invalidate hook
+        // mid-flight. Touches are exempt from the disjointness
+        // invariant, so this only perturbs PTE/cache state, never
+        // final bytes.
         const WorkloadOp &placed = w.ops.back();
         if (invalidation_storm && (placed.kind == OpKind::kMov ||
                                    placed.kind == OpKind::kMovMany)) {

@@ -136,11 +136,11 @@ struct Workload {
     /** Invalidation-storm knob: the generator chases every mov with a
      *  burst of zero-delay touches aimed at the mov's own pages, so
      *  young/dirty PTE CASes fire the xlate-invalidate hook while the
-     *  request's translations are still in flight — prefetched entries
-     *  (and pending prefetches) get shot down between issue and
-     *  consumption. Stress for the mmu_aware() preset; pure PTE-state
-     *  noise, so the reference model is unaffected beyond the usual
-     *  may-race marking of migrations. */
+     *  request is still in flight — gang-cache entries get shot down
+     *  between Prep and the next move over the same pages. Stresses
+     *  gang-cache invalidation under the xlate_cache presets; pure
+     *  PTE-state noise, so the reference model is unaffected beyond the
+     *  usual may-race marking of migrations. */
     bool invalidation_storm = false;
     /** Heat-churn knob: the generator hammers one small per-seed "hot
      *  window" of pages with repeated touches throughout the run, so

@@ -131,7 +131,7 @@ DmaDriver::reserve_descriptors(std::uint32_t need, const bool *abandon_a,
 
 TransferId
 DmaDriver::start(Prepared prepared, bool irq_mode, CompletionFn on_complete,
-                 unsigned tc, bool moderated, XlateGate gate)
+                 unsigned tc, bool moderated)
 {
     const DescIndex head = prepared.lease.head();
     MEMIF_ASSERT(head != kNullLink, "starting an empty chain");
@@ -143,7 +143,7 @@ DmaDriver::start(Prepared prepared, bool irq_mode, CompletionFn on_complete,
             retire(tid);
             if (cb) cb(tid);
         },
-        moderated, std::move(gate));
+        moderated);
     leases_.emplace(id, std::move(prepared.lease));
     return id;
 }

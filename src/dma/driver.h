@@ -152,14 +152,10 @@ class DmaDriver {
      *                     engine's six TCs for parallel transfers)
      * @param moderated    hold the completion IRQ in the engine's per-TC
      *                     moderation batch (see Edma3Engine::start_chain)
-     * @param gate         optional per-descriptor translation gate; when
-     *                     set the engine consumes the chain one entry at
-     *                     a time and consults the gate before each copy
-     *                     (see Edma3Engine::XlateGate)
      */
     TransferId start(Prepared prepared, bool irq_mode,
                      CompletionFn on_complete, unsigned tc,
-                     bool moderated = false, XlateGate gate = nullptr);
+                     bool moderated = false);
     TransferId
     start(Prepared prepared, bool irq_mode, CompletionFn on_complete)
     {
@@ -196,8 +192,6 @@ class DmaDriver {
     {
         return engine_.completion_time(id);
     }
-    /** Did @p id's chain terminate on a translation-gate fault? */
-    bool gate_faulted(TransferId id) const { return engine_.gate_faulted(id); }
     bool cancel(TransferId id);
 
     /**

@@ -60,8 +60,7 @@ Edma3Engine::chain_duration(DescIndex head) const
 
 TransferId
 Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
-                         CompletionFn on_complete, bool moderated,
-                         XlateGate gate)
+                         CompletionFn on_complete, bool moderated)
 {
     MEMIF_ASSERT(tc < kNumTcs, "bad transfer controller");
     // Housekeeping: keep the flight table bounded even when no driver
@@ -102,26 +101,10 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         flight.lose_irq = faults_->should_fire(kFaultLostIrq) &&
                           raise_irq && !flight.error;
     }
-    // Stepped (SVA-gated) consumption: with zero gate stalls the step
-    // events land at exactly the monolithic done_at, so an always-hit
-    // gate is time-identical to the pre-pinned path. Injected error /
-    // stuck transfers keep the monolithic event: an errored chain moves
-    // no bytes at all, and a stuck one never completes.
-    const bool stepped = gate && !flight.stuck && !flight.error;
-    if (stepped) {
-        flight.gate = std::move(gate);
-        flight.next_desc = head;
-        ++stats_.gated_transfers;
-    }
     flights_.emplace(id, std::move(flight));
     ++stats_.transfers_started;
     stats_.busy_time += duration;
 
-    if (stepped) {
-        eq_.schedule_at(begin + cm_.dma_latency,
-                        [this, id] { step_chain(id); });
-        return id;
-    }
     eq_.schedule_at(done_at, [this, id] {
         auto it = flights_.find(id);
         if (it == flights_.end()) return;  // cancelled and purged
@@ -154,95 +137,6 @@ Edma3Engine::start_chain(DescIndex head, unsigned tc, bool raise_irq,
         if (fl.on_complete) fl.on_complete(id);
     });
     return id;
-}
-
-void
-Edma3Engine::step_chain(TransferId id)
-{
-    auto it = flights_.find(id);
-    if (it == flights_.end() || it->second.cancelled) return;
-    if (it->second.next_desc == kNullLink) {
-        finish_flight(id);
-        return;
-    }
-    MEMIF_ASSERT(++it->second.steps <= DescriptorRam::kEntries,
-                 "descriptor chain loops");
-    const std::uint32_t index = it->second.steps - 1;
-    // The TC streams from a local copy: the gate may redirect the entry
-    // (a mid-flight re-walk) without the PaRAM ever being rewritten.
-    TransferDescriptor d = ram_.read(it->second.next_desc);
-    XlateVerdict v = it->second.gate(id, index, d);
-    // The gate is driver code; revalidate the iterator after it ran.
-    it = flights_.find(id);
-    if (it == flights_.end() || it->second.cancelled) return;
-    Flight &fl = it->second;
-    if (v.fault) {
-        // SVA walk fault: the chain terminates like a TC bus error —
-        // the CC error interrupt dispatches immediately and is never
-        // moderated or lost. Entries already streamed stay written;
-        // the driver's recovery ladder owns the cleanup.
-        fl.error = true;
-        fl.gate_fault = true;
-        fl.completed = true;
-        fl.completes_at = eq_.now();
-        ++stats_.transfers_failed;
-        ++stats_.gate_faults;
-        if (fl.raise_irq) ++stats_.interrupts_raised;
-        if (fl.on_complete) fl.on_complete(id);
-        return;
-    }
-    if (v.stall > 0) {
-        // The consumer outran the translation machinery: push the
-        // completion estimate (and the TC's busy horizon) back so
-        // completion_time() keeps quoting the current schedule.
-        ++stats_.gate_stalls;
-        stats_.gate_stall_time += v.stall;
-        stats_.busy_time += v.stall;
-        fl.completes_at += v.stall;
-        if (tc_busy_until_[fl.tc] < fl.completes_at)
-            tc_busy_until_[fl.tc] = fl.completes_at;
-    }
-    const double src_bw = addr_bandwidth(pm_, d.src);
-    const double dst_bw = addr_bandwidth(pm_, d.dst);
-    const sim::Duration step =
-        v.stall + cm_.dma_per_desc + desc_latency(pm_, d) +
-        cm_.dma_stream_time(d.total_bytes(), src_bw, dst_bw);
-    fl.next_desc = d.link;
-    // Bytes land when the entry finishes streaming; the next gate check
-    // happens at the same instant.
-    eq_.schedule_after(step, [this, id, d] {
-        auto cur = flights_.find(id);
-        if (cur == flights_.end() || cur->second.cancelled) return;
-        execute_one(d);
-        step_chain(id);
-    });
-}
-
-void
-Edma3Engine::finish_flight(TransferId id)
-{
-    auto it = flights_.find(id);
-    if (it == flights_.end()) return;
-    Flight &fl = it->second;
-    fl.completed = true;
-    ++stats_.transfers_completed;
-    if (fl.lose_irq) {
-        ++stats_.interrupts_lost;
-        return;  // nobody learns of the completion
-    }
-    if (fl.moderated && !fl.error) {
-        hold_completion(id, fl.tc);
-        return;
-    }
-    if (fl.raise_irq) ++stats_.interrupts_raised;
-    if (fl.on_complete) fl.on_complete(id);
-}
-
-bool
-Edma3Engine::gate_faulted(TransferId id) const
-{
-    auto it = flights_.find(id);
-    return it != flights_.end() && it->second.gate_fault;
 }
 
 void
@@ -320,37 +214,33 @@ Edma3Engine::discard_moderated(TransferId id)
 }
 
 void
-Edma3Engine::execute_one(const TransferDescriptor &d)
-{
-    // Walk the 3D geometry; the common cases collapse to one memcpy.
-    for (std::uint32_t frame = 0; frame < (d.c_cnt ? d.c_cnt : 1);
-         ++frame) {
-        for (std::uint32_t arr = 0; arr < d.b_cnt; ++arr) {
-            const std::uint64_t src = d.src +
-                                      frame * std::int64_t{d.src_cidx} +
-                                      arr * std::int64_t{d.src_bidx};
-            const std::uint64_t dst = d.dst +
-                                      frame * std::int64_t{d.dst_cidx} +
-                                      arr * std::int64_t{d.dst_bidx};
-            std::byte *s = pm_.span(src >> mem::kPageShift,
-                                    (src & (mem::kPageSize - 1)) + d.a_cnt) +
-                           (src & (mem::kPageSize - 1));
-            std::byte *t = pm_.span(dst >> mem::kPageShift,
-                                    (dst & (mem::kPageSize - 1)) + d.a_cnt) +
-                           (dst & (mem::kPageSize - 1));
-            std::memcpy(t, s, d.a_cnt);
-            stats_.bytes_copied += d.a_cnt;
-        }
-    }
-}
-
-void
 Edma3Engine::execute_copies(DescIndex head)
 {
     DescIndex idx = head;
     while (idx != kNullLink) {
         const TransferDescriptor &d = ram_.read(idx);
-        execute_one(d);
+        // Walk the 3D geometry; the common cases collapse to one memcpy.
+        for (std::uint32_t frame = 0; frame < (d.c_cnt ? d.c_cnt : 1);
+             ++frame) {
+            for (std::uint32_t arr = 0; arr < d.b_cnt; ++arr) {
+                const std::uint64_t src =
+                    d.src + frame * std::int64_t{d.src_cidx} +
+                    arr * std::int64_t{d.src_bidx};
+                const std::uint64_t dst =
+                    d.dst + frame * std::int64_t{d.dst_cidx} +
+                    arr * std::int64_t{d.dst_bidx};
+                std::byte *s =
+                    pm_.span(src >> mem::kPageShift,
+                             (src & (mem::kPageSize - 1)) + d.a_cnt) +
+                    (src & (mem::kPageSize - 1));
+                std::byte *t =
+                    pm_.span(dst >> mem::kPageShift,
+                             (dst & (mem::kPageSize - 1)) + d.a_cnt) +
+                    (dst & (mem::kPageSize - 1));
+                std::memcpy(t, s, d.a_cnt);
+                stats_.bytes_copied += d.a_cnt;
+            }
+        }
         idx = d.link;
     }
 }

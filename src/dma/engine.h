@@ -46,28 +46,6 @@ inline constexpr TransferId kInvalidTransfer = 0;
 /** Completion callback; runs in simulated interrupt context. */
 using CompletionFn = std::function<void(TransferId)>;
 
-/** Verdict of the per-descriptor translation gate (SVA-routed DMA). */
-struct XlateVerdict {
-    /** Engine stall charged before the entry streams (a demand walk or
-     *  an in-progress prefetch the consumer outran). */
-    sim::Duration stall = 0;
-    /** The walk could not resolve: the chain terminates like a TC bus
-     *  error (entries already streamed stay written — the driver's
-     *  recovery ladder owns the cleanup). */
-    bool fault = false;
-};
-
-/**
- * Per-descriptor translation gate (SVA-routed DMA): invoked at the
- * simulated instant the TC is about to consume each descriptor of a
- * gated chain, in chain order. The gate may rewrite @p d's src/dst (the
- * local copy the TC streams from; PaRAM is not written back), which is
- * how a mid-flight re-walk redirects an entry. Must be synchronous and
- * must not call back into the engine.
- */
-using XlateGate = std::function<XlateVerdict(
-    TransferId id, std::uint32_t index, TransferDescriptor &d)>;
-
 /** Terminal outcome of a transfer (EDMA3 TC error status model). */
 enum class TransferStatus : std::uint8_t {
     kOk = 0,     ///< completed, bytes copied
@@ -99,16 +77,10 @@ struct EngineStats {
     /** Moderation batches flushed by the holdoff timer rather than the
      *  count threshold. */
     std::uint64_t moderation_timer_flushes = 0;
-    /** Transfers consumed descriptor-by-descriptor through an
-     *  XlateGate (SVA-routed DMA). */
-    std::uint64_t gated_transfers = 0;
-    /** Gate verdicts that stalled the consuming TC. */
+    /** Always 0: no translation gate stalls a chain since every move
+     *  is pre-pinned. Kept only because memifbench still reads them. */
     std::uint64_t gate_stalls = 0;
-    /** Total stall time the gate inserted into transfer streams. */
     sim::Duration gate_stall_time = 0;
-    /** Chains terminated by a gate fault (counted in transfers_failed
-     *  too — a gate fault is delivered as a TC-error completion). */
-    std::uint64_t gate_faults = 0;
     sim::Duration busy_time = 0;  ///< summed per-TC busy durations
 };
 
@@ -160,25 +132,10 @@ class Edma3Engine {
      *                      batch flushes (count threshold or holdoff
      *                      timer). TC errors always bypass moderation —
      *                      an error interrupt is never held.
-     * @param gate          optional per-descriptor translation gate
-     *                      (SVA-routed DMA): with one installed the TC
-     *                      consumes the chain descriptor-by-descriptor,
-     *                      asking the gate before each entry streams;
-     *                      stalls push the completion time back and
-     *                      a fault terminates the chain like a TC bus
-     *                      error. Injected error/stuck transfers skip
-     *                      stepping entirely (their all-or-nothing
-     *                      semantics are unchanged).
      * @return a transfer id for polling/cancellation
      */
     TransferId start_chain(DescIndex head, unsigned tc, bool raise_irq,
-                           CompletionFn on_complete, bool moderated = false,
-                           XlateGate gate = nullptr);
-
-    /** True if @p id terminated on an XlateGate fault (an SVA walk
-     *  fault, reported as a TC-error completion). Purged ids report
-     *  false. */
-    bool gate_faulted(TransferId id) const;
+                           CompletionFn on_complete, bool moderated = false);
 
     /**
      * Override the moderation parameters (defaults come from the cost
@@ -289,16 +246,9 @@ class Edma3Engine {
         /** Completed but the moderated delivery has not flushed yet;
          *  such records are exempt from purge_finished(). */
         bool delivery_pending = false;
-        bool gate_fault = false; ///< terminated by an XlateGate fault
         unsigned tc = 0;
         sim::SimTime completes_at = 0;
         CompletionFn on_complete;
-        /** SVA translation gate; non-null = stepped consumption. */
-        XlateGate gate;
-        /** Stepped consumption cursor: next descriptor to stream. */
-        DescIndex next_desc = kNullLink;
-        /** Descriptors consumed so far (loop guard + gate index). */
-        std::uint32_t steps = 0;
     };
 
     /** Per-TC interrupt-moderation state. */
@@ -308,14 +258,6 @@ class Edma3Engine {
     };
 
     void execute_copies(DescIndex head);
-    /** Copy one descriptor's bytes (possibly gate-rewritten). */
-    void execute_one(const TransferDescriptor &d);
-    /** Stepped consumption (gated transfers): gate + stream the next
-     *  descriptor, or finish the flight when the chain is exhausted. */
-    void step_chain(TransferId id);
-    /** Shared completion delivery for stepped transfers (lost-IRQ,
-     *  moderation, and callback semantics match the monolithic path). */
-    void finish_flight(TransferId id);
     /** Park @p id's completion in @p tc's moderation batch. */
     void hold_completion(TransferId id, unsigned tc);
     /** Deliver one coalesced IRQ retiring everything held on @p tc. */

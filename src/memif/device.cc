@@ -43,10 +43,6 @@ constexpr std::size_t kTenantDispatchWindow = 8;
 /** WRR weight of the migration daemon's service class (its movs never
  *  consume app tenants' quotas). */
 constexpr std::uint32_t kDaemonWeight = 1;
-/** sva_dma: descriptors per translation window — the unit the first
- *  (prep-time) walk, each asynchronous prefetch walk, and the
- *  cache-first check cover. */
-constexpr std::uint32_t kPrefetchWindow = 8;
 
 /** The live PTEs of pages [first, first + n) of @p vma: what a walk of
  *  the run delivers, and the only snapshot any XlateCache entry is
@@ -153,9 +149,6 @@ MemifDevice::~MemifDevice()
     // it too, so disarm them all before the device goes away.
     for (const InFlightPtr &fl : in_flight_) {
         disarm_watchdog(fl);
-        // Prefetch-fill events capture this device; drop them too.
-        if (!fl->prefetch_events.empty() || !fl->prefetch_tokens.empty())
-            cancel_stream_prefetch(fl);
         if (fl->tid == dma::kInvalidTransfer) continue;
         if (kernel_.dma().discard_moderated(fl->tid)) {
             // Completed but its moderated delivery was still held: the
@@ -503,31 +496,9 @@ MemifDevice::print_stats(std::FILE *out) const
     std::fprintf(out, "  ranged_tlb_flushes    %12llu\n",
                  static_cast<unsigned long long>(s.ranged_tlb_flushes));
     if (config_.xlate_cache) {
-        // The two prefetchers are distinct machines: the gang cache's
-        // reactive neighbour expansion vs. the ahead-of-stream walks.
         std::fprintf(out, "  xlate_gang_prefetched %12llu\n",
                      static_cast<unsigned long long>(
                          s.xlate_gang_prefetched));
-    }
-    if (config_.sva_dma) {
-        std::fprintf(
-            out, "  stream_prefetch i/h/l/w %6llu/%llu/%llu/%llu\n",
-            static_cast<unsigned long long>(s.stream_prefetch_issued),
-            static_cast<unsigned long long>(s.stream_prefetch_hits),
-            static_cast<unsigned long long>(s.stream_prefetch_late),
-            static_cast<unsigned long long>(s.stream_prefetch_wasted));
-        std::fprintf(out, "  prefetch_fills_dropped%12llu\n",
-                     static_cast<unsigned long long>(
-                         s.prefetch_fills_dropped));
-        std::fprintf(out, "  consumer_stalls       %12llu (%.1f us)\n",
-                     static_cast<unsigned long long>(s.consumer_stalls),
-                     static_cast<double>(s.consumer_stall_time) / 1000.0);
-        std::fprintf(
-            out, "  sva res/walk/rexl/flt %6llu/%llu/%llu/%llu\n",
-            static_cast<unsigned long long>(s.sva_resolved),
-            static_cast<unsigned long long>(s.sva_demand_walks),
-            static_cast<unsigned long long>(s.sva_retranslated),
-            static_cast<unsigned long long>(s.sva_faults));
     }
     if (config_.auto_migrate) {
         const double sampled =
@@ -1164,10 +1135,6 @@ MemifDevice::remove_in_flight(const InFlightPtr &fl)
     if (config_.percpu_rings && region_.num_rings() > 0)
         std::erase(flight_shards_[fl->submit_cpu % region_.num_rings()],
                    fl);
-    // An SVA stream may retire with prefetch walks still in flight
-    // (gate fault, rollback); drop them and their pending tokens.
-    if (!fl->prefetch_events.empty() || !fl->prefetch_tokens.empty())
-        cancel_stream_prefetch(fl);
 }
 
 sim::Duration
@@ -1185,242 +1152,6 @@ MemifDevice::shared_submit_penalty(std::uint32_t cpu)
     last_shared_submit_ = now;
     last_shared_cpu_ = cpu;
     return penalty;
-}
-
-// --------------------------------------------------------------------
-// MMU-aware DMA: ahead-of-stream translation prefetch + SVA routing.
-// --------------------------------------------------------------------
-
-bool
-MemifDevice::resolve_span(const vm::Vma *vma, vm::VAddr va,
-                          std::uint64_t bytes, std::uint64_t *out)
-{
-    const std::uint64_t pb = vm::page_bytes(vma->page_size());
-    std::uint64_t idx = vma->page_index(va);
-    const std::uint64_t off = va - vma->page_vaddr(idx);
-    vm::Pte pte = vma->pte(idx);
-    if (!pte.present || pte.migration) return false;
-    const std::uint64_t base = (pte.pfn << mem::kPageShift) + off;
-    std::uint64_t covered = pb - off;
-    std::uint64_t expect = (pte.pfn << mem::kPageShift) + pb;
-    while (covered < bytes) {
-        ++idx;
-        if (idx >= vma->num_pages()) return false;
-        pte = vma->pte(idx);
-        if (!pte.present || pte.migration) return false;
-        // A remap broke the physical contiguity the descriptor needs;
-        // the gate reports a walk fault rather than split the chain.
-        if ((pte.pfn << mem::kPageShift) != expect) return false;
-        covered += pb;
-        expect += pb;
-    }
-    *out = base;
-    return true;
-}
-
-bool
-MemifDevice::SlotWindow::cached_in(XlateCache *cache) const
-{
-    return cache && cache->lookup(svma, s0, sn) &&
-           cache->lookup(dvma, d0, dn);
-}
-
-void
-MemifDevice::SlotWindow::record_into(XlateCache &cache) const
-{
-    cache.record(svma, s0, snapshot_ptes(svma, s0, sn));
-    cache.record(dvma, d0, snapshot_ptes(dvma, d0, dn));
-}
-
-MemifDevice::SlotWindow
-MemifDevice::slot_window(const InFlight &fl, std::size_t lo,
-                         std::size_t hi) const
-{
-    const sim::CostModel &cm = kernel_.costs();
-    const XlateSlot &head = fl.slots[lo];
-    const XlateSlot &tail = fl.slots[hi - 1];
-    SlotWindow w;
-    w.svma = fl.vma;
-    w.dvma = fl.dst_vma;
-    w.s0 = w.svma->page_index(head.src_va);
-    w.sn = w.svma->page_index(tail.src_va + tail.bytes - 1) - w.s0 + 1;
-    w.d0 = w.dvma->page_index(head.dst_va);
-    w.dn = w.dvma->page_index(tail.dst_va + tail.bytes - 1) - w.d0 + 1;
-    w.walk = 2 * cm.page_walk_full +
-             (w.sn - 1 + w.dn - 1) * cm.page_walk_adjacent;
-    return w;
-}
-
-sim::Duration
-MemifDevice::prefetch_window(const InFlightPtr &fl, std::uint64_t batch,
-                             bool sync)
-{
-    const std::uint64_t lo = batch * kPrefetchWindow;
-    if (lo >= fl->slots.size()) return 0;
-    const std::uint64_t hi =
-        std::min<std::uint64_t>(lo + kPrefetchWindow, fl->slots.size());
-    const SlotWindow w = slot_window(*fl, lo, hi);
-    XlateCache *const cache = xlate_for(fl->asid);
-    stats_.stream_prefetch_issued += hi - lo;
-
-    // Cache first: a window the gang cache already translated (a warm
-    // region pair, or a neighbour's gang prefetch) needs no walk at
-    // all — no CPU, no event, no pending token. Otherwise the first
-    // window is walked synchronously and the rest by the asynchronous
-    // walker: elapsed as walker time on the event queue, not charged
-    // to any CPU, so the walk overlaps in-flight DMA instead of
-    // serialising in prep.
-    const bool hit = w.cached_in(cache);
-    const sim::SimTime now = kernel_.eq().now();
-    const sim::SimTime ready = hit || sync ? now : now + w.walk;
-    for (std::uint64_t i = lo; i < hi; ++i) fl->slots[i].ready_at = ready;
-    if (hit) return 0;
-    if (sync) {
-        if (cache) w.record_into(*cache);
-        return w.walk;
-    }
-
-    std::uint64_t stok = 0, dtok = 0;
-    if (cache) {
-        // Pending entries: an invalidation landing before the fill
-        // kills the token and the stale walk result is dropped.
-        stok = cache->begin_prefetch(w.svma, w.s0, w.sn);
-        dtok = cache->begin_prefetch(w.dvma, w.d0, w.dn);
-        fl->prefetch_tokens.push_back(stok);
-        fl->prefetch_tokens.push_back(dtok);
-    }
-    std::weak_ptr<InFlight> weak = fl;
-    const sim::EventQueue::EventId ev =
-        kernel_.eq().schedule_at(ready, [this, weak, stok, dtok, w] {
-            InFlightPtr alive = weak.lock();
-            if (!alive || stopping_) return;
-            XlateCache *const xc = xlate_for(alive->asid);
-            if (!xc) return;
-            // Fill from the PTEs live *now*: the walk result delivered
-            // is whatever the tables say at completion time, and the
-            // generation check drops it if an invalidation raced ahead.
-            if (!xc->fill_prefetch(stok, snapshot_ptes(w.svma, w.s0, w.sn)))
-                ++stats_.prefetch_fills_dropped;
-            if (!xc->fill_prefetch(dtok, snapshot_ptes(w.dvma, w.d0, w.dn)))
-                ++stats_.prefetch_fills_dropped;
-        });
-    fl->prefetch_events.push_back(ev);
-    return 0;
-}
-
-void
-MemifDevice::cancel_stream_prefetch(const InFlightPtr &fl)
-{
-    for (const sim::EventQueue::EventId ev : fl->prefetch_events)
-        kernel_.eq().cancel(ev);
-    fl->prefetch_events.clear();
-    // Drain any still-pending tokens so no pending-prefetch entry
-    // outlives the move (a fill that already ran erased its own).
-    if (XlateCache *cache = xlate_for(fl->asid))
-        for (const std::uint64_t tok : fl->prefetch_tokens)
-            cache->fill_prefetch(tok, {});
-    fl->prefetch_tokens.clear();
-}
-
-dma::XlateVerdict
-MemifDevice::sva_gate_check(const InFlightPtr &fl, std::uint32_t idx,
-                            dma::TransferDescriptor &d)
-{
-    dma::XlateVerdict v;
-    if (fl->aborted || stopping_ || idx >= fl->slots.size()) return v;
-    const sim::SimTime now = kernel_.eq().now();
-    XlateSlot &slot = fl->slots[idx];
-
-    // Keep the prefetcher running ahead of the consumption stream:
-    // entering a new window triggers the walk two windows out, so the
-    // walker (~page_walk_adjacent per page) stays ahead of the copy
-    // stream (~dma_stream_time per page) after the first window.
-    if (idx % kPrefetchWindow == 0) {
-        const std::uint64_t target = idx / kPrefetchWindow + 2;
-        for (; fl->next_prefetch_batch <= target; ++fl->next_prefetch_batch)
-            prefetch_window(fl, fl->next_prefetch_batch, /*sync=*/false);
-    }
-
-    // Injected IOMMU walk fault: the chain terminates mid-stream and
-    // the recovery ladder sees kXlateFault.
-    if (kernel_.faults().should_fire(kFaultSvaWalk)) {
-        ++stats_.sva_faults;
-        v.fault = true;
-        return v;
-    }
-
-    // ALWAYS resolve from the live page tables — the prefetch / cache
-    // state below only decides the stall charged, never the bytes.
-    std::uint64_t src = 0, dst = 0;
-    if (!resolve_span(fl->vma, slot.src_va, slot.bytes, &src) ||
-        !resolve_span(fl->dst_vma, slot.dst_va, slot.bytes, &dst)) {
-        ++stats_.sva_faults;
-        v.fault = true;
-        return v;
-    }
-    ++stats_.sva_resolved;
-    if (src != d.src || dst != d.dst) {
-        // The translation moved since the descriptor was programmed;
-        // rewrite the engine's working copy from the live tables.
-        ++stats_.sva_retranslated;
-        dma::TransferDescriptor nd =
-            dma::TransferDescriptor::contiguous(src, dst, slot.bytes);
-        nd.opt = d.opt;
-        nd.link = d.link;
-        d = nd;
-    }
-
-    // Stall accounting. Every slot's window was translated ahead of
-    // consumption — found cached, walked at prep, or prefetched — so
-    // the only questions are whether that walk has landed and whether
-    // its result is still in the cache.
-    XlateCache *const cache = xlate_for(fl->asid);
-    const SlotWindow w = slot_window(*fl, idx, idx + 1);
-    const bool covered = w.cached_in(cache);
-    if (now < slot.ready_at) {
-        // Consumer outran the prefetcher: the TC stalls until the
-        // covering walk lands (and then proceeds off its result).
-        v.stall = slot.ready_at - now;
-        ++stats_.stream_prefetch_late;
-        ++stats_.consumer_stalls;
-        stats_.consumer_stall_time += v.stall;
-    } else if (covered) {
-        // Translation ready and live: the walk fully overlapped earlier
-        // streaming (or was never needed) — zero consumption stall.
-        ++stats_.stream_prefetch_hits;
-    } else {
-        // Prefetched but unusable (invalidated after the fill, or the
-        // fill was dropped): demand re-walk in the stream.
-        ++stats_.stream_prefetch_wasted;
-        ++stats_.sva_demand_walks;
-        v.stall = w.walk;
-        if (cache) w.record_into(*cache);
-    }
-    return v;
-}
-
-void
-MemifDevice::revalidate_stream(const InFlightPtr &fl)
-{
-    // A retried chain (or the CPU fallback) must not trust prefetched
-    // translations from before the failure: re-resolve every entry
-    // from the live page tables. Entries that no longer resolve keep
-    // their programmed addresses — the gate (or the next failure)
-    // handles them; only reachable through injection or a real unmap.
-    MEMIF_ASSERT(fl->slots.size() == fl->sg.size(),
-                 "stream slots out of sync with the SG list");
-    for (std::size_t i = 0; i < fl->slots.size(); ++i) {
-        const XlateSlot &slot = fl->slots[i];
-        std::uint64_t src = 0, dst = 0;
-        if (!resolve_span(fl->vma, slot.src_va, slot.bytes, &src) ||
-            !resolve_span(fl->dst_vma, slot.dst_va, slot.bytes, &dst))
-            continue;
-        if (src != fl->sg[i].src_addr || dst != fl->sg[i].dst_addr) {
-            ++stats_.sva_retranslated;
-            fl->sg[i].src_addr = src;
-            fl->sg[i].dst_addr = dst;
-        }
-    }
 }
 
 // --------------------------------------------------------------------
@@ -1546,21 +1277,8 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // invalidation in between falls back to live PTE reads).
     std::vector<vm::Pte> cached_src;
     std::uint64_t cached_src_gen = 0;
-    // SVA-routed streams defer translation to consumption time (the
-    // engine's per-descriptor gate): prep pays only the submission-side
-    // probe, so large-SG walks no longer serialise before submit. Only
-    // flat replications stream. Strided and gather requests are
-    // pre-pinned: their rows are translated here, pitched rows fold
-    // into 2D descriptors, the list coalesces like any other, and
-    // nothing re-walks it at consumption time.
-    const bool sva_stream =
-        config_.sva_dma && req.op == MovOp::kReplicate && !strided;
     for (std::uint64_t r = 0; r < lookup_regions; ++r) {
         const LookupRegion &lr = lookups[r];
-        if (sva_stream) {
-            lookup_cost += cm.xlate_probe;
-            continue;
-        }
         std::uint64_t walk_pages = lr.pages;
         if (xcache) {
             // One hashed probe against the per-VMA generation, hit or
@@ -1806,8 +1524,7 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
         // backing 4 KB frames are contiguous, so a segment is one flat
         // physically contiguous run. Adjacent single-segment rows whose
         // physical starts line up with the pitches re-merge into true
-        // 2D (A/B-count) descriptors. Strided requests are pre-pinned
-        // under every preset: nothing re-walks these rows later.
+        // 2D (A/B-count) descriptors.
         ++stats_.strided_requests;
         if (gather) ++stats_.gather_requests;
         stats_.strided_rows_moved += req.rows;
@@ -1997,32 +1714,6 @@ MemifDevice::serve_request(std::uint32_t idx, ExecContext ctx, bool irq_mode,
     // The SG list is kept on the in-flight record: retries and the CPU
     // fallback replay it after a transfer failure.
     fl->sg = std::move(sg);
-    if (sva_stream) {
-        // SVA routing: one virtual span per descriptor; the engine's
-        // gate re-resolves each through the live page tables at
-        // consumption time. Chunks were emitted at increasing region
-        // offsets and coalescing preserves that order, so the spans
-        // fall out of the cumulative byte offsets.
-        fl->slots.reserve(fl->sg.size());
-        std::uint64_t off = 0;
-        for (const dma::SgEntry &e : fl->sg) {
-            XlateSlot s;
-            s.src_va = req.src_base + off;
-            s.dst_va = req.dst_base + off;
-            s.bytes = e.bytes;
-            fl->slots.push_back(s);
-            off += e.bytes;
-        }
-        // Translate only the first window before submit (walked here
-        // unless the gang cache already holds it); the next two are
-        // handed to the asynchronous walker, and the gate keeps it two
-        // windows ahead of the consumption stream from there on.
-        const sim::Duration walk = prefetch_window(fl, 0, /*sync=*/true);
-        if (walk) co_await cpu.busy(ctx, Op::kPrep, walk);
-        prefetch_window(fl, 1, /*sync=*/false);
-        prefetch_window(fl, 2, /*sync=*/false);
-        fl->next_prefetch_batch = 3;
-    }
     fl->irq_mode = irq_mode;
     fl->moderated = moderated && irq_mode;
     // The PaRAM has 512 entries (Table 2); with several instances (or a
@@ -2069,20 +1760,6 @@ MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
     const unsigned tc =
         config_.multi_tc_dispatch ? kernel_.dma().pick_tc() : tc_;
     ++stats_.tc_dispatches[tc];
-    // SVA-routed stream: install the per-descriptor translation gate.
-    // The engine then consumes the chain one entry at a time, asking
-    // the gate before each copy; the weak capture keeps a retired
-    // record from being revived by a late engine step.
-    dma::XlateGate gate;
-    if (!fl->slots.empty()) {
-        std::weak_ptr<InFlight> weak = fl;
-        gate = [this, weak](dma::TransferId, std::uint32_t idx,
-                            dma::TransferDescriptor &d) {
-            InFlightPtr alive = weak.lock();
-            if (!alive) return dma::XlateVerdict{};
-            return sva_gate_check(alive, idx, d);
-        };
-    }
     if (fl->irq_mode) {
         // Retries bypass moderation: once the recovery ladder is
         // involved, detection latency matters more than IRQ rate.
@@ -2093,7 +1770,7 @@ MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
             [this, fl](dma::TransferId) {
                 kernel_.spawn(on_dma_complete(fl));
             },
-            tc, moderated, std::move(gate));
+            tc, moderated);
         fl->predicted =
             kernel_.dma().completion_time(fl->tid) - fl->dma_start_at;
         arm_watchdog(fl);
@@ -2101,8 +1778,7 @@ MemifDevice::trigger_dma(const InFlightPtr &fl, dma::DmaDriver::Prepared p,
         // Polled mode: the kernel thread supervises the transfer itself
         // (its timed wait doubles as the watchdog).
         fl->tid = kernel_.dma().start(std::move(p), /*irq_mode=*/false,
-                                      nullptr, tc, /*moderated=*/false,
-                                      std::move(gate));
+                                      nullptr, tc);
         fl->predicted =
             kernel_.dma().completion_time(fl->tid) - fl->dma_start_at;
     }
@@ -2185,9 +1861,7 @@ MemifDevice::classify_dma_error(const InFlightPtr &fl, ExecContext ctx)
     ++stats_.dma_errors;
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kDmaError, ctx,
                             fl->req_idx);
-    // A translation-gate fault (SVA walk error) is not a TC bus error.
-    return kernel_.dma().gate_faulted(fl->tid) ? MovError::kXlateFault
-                                               : MovError::kDmaError;
+    return MovError::kDmaError;
 }
 
 void
@@ -2321,20 +1995,6 @@ MemifDevice::watchdog_expired(InFlightPtr fl)
     if (fl->aborted || stopping_) co_return;
     if (region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
         co_return;  // already resolved by some other path
-    // Gate stalls (SVA demand walks, late prefetches) push a stepped
-    // chain's completion later than the quote the deadline was armed
-    // from. A transfer whose predicted completion still lies ahead is
-    // progressing, not stuck: follow the new quote instead of firing.
-    // Non-gated transfers never move their completion time, so this
-    // re-arm is unreachable for them. A genuinely stuck transfer never
-    // advances completes_at past its original quote, so the margin-
-    // scaled deadline still catches it.
-    if (!fl->slots.empty() && fl->tid != dma::kInvalidTransfer &&
-        !kernel_.dma().is_complete(fl->tid) &&
-        kernel_.dma().completion_time(fl->tid) > kernel_.eq().now()) {
-        arm_watchdog(fl);
-        co_return;
-    }
     const sim::CostModel &cm = kernel_.costs();
     ++stats_.watchdog_timeouts;
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kWatchdogFire,
@@ -2418,9 +2078,6 @@ MemifDevice::restart_dma(InFlightPtr fl, ExecContext ctx)
     // it would leak the new chain and double-release the pages.
     if (region_.request(fl->req_idx).load_status() != MovStatus::kInFlight)
         co_return;
-    // A retried SVA stream re-validates every prefetched translation:
-    // the world may have moved while the chain was down.
-    if (!fl->slots.empty()) revalidate_stream(fl);
     dma::DmaDriver::Prepared p = kernel_.dma().prepare(fl->sg);
     co_await kernel_.cpu().busy(ctx, Op::kDmaConfig, p.cpu_time);
     if (fl->aborted || stopping_) {
@@ -2441,10 +2098,7 @@ MemifDevice::fallback_copy(InFlightPtr fl, ExecContext ctx)
     kernel_.tracer().record(kernel_.eq().now(), TracePoint::kFallbackCopy,
                             ctx, fl->req_idx);
     // The CPU replays the scatter-gather list byte-for-byte; correct
-    // but slow — this is the graceful-degradation floor. An SVA
-    // stream's list may hold translations from before the failure;
-    // re-resolve it so the copy lands where the live tables point.
-    if (!fl->slots.empty()) revalidate_stream(fl);
+    // but slow — this is the graceful-degradation floor.
     const auto span_at = [&pm](std::uint64_t pa, std::uint64_t bytes) {
         const std::uint64_t off = pa & (mem::kPageSize - 1);
         return pm.span(pa >> mem::kPageShift, off + bytes) + off;
@@ -2844,15 +2498,6 @@ MemifDevice::kthread_loop()
                         co_await sim::Yield{k.eq()};
                     }
                     if (fl->aborted) break;
-                    if (!fl->slots.empty() &&
-                        !k.dma().is_complete(fl->tid) &&
-                        k.dma().completion_time(fl->tid) > k.eq().now()) {
-                        // Gate stalls pushed an SVA stream's completion
-                        // out past the quote this wait slept on; it is
-                        // progressing, not stuck — sleep to the new
-                        // quote. (Stuck transfers never advance it.)
-                        continue;
-                    }
                     if (!k.dma().is_complete(fl->tid)) {
                         // Stuck: the predicted completion time passed
                         // with the transfer still running.

@@ -69,11 +69,6 @@ namespace memif::core {
  *  as if the destination node were exhausted (see sim/fault.h). */
 inline constexpr std::string_view kFaultAllocFail = "memif.alloc_fail";
 
-/** Injection site: an SVA-routed descriptor's consumption-time page
- *  walk faults (IOMMU walk error), terminating the chain mid-stream
- *  and feeding the recovery ladder with kXlateFault. */
-inline constexpr std::string_view kFaultSvaWalk = "memif.sva_walk";
-
 /** Race-handling policy (§5.2). */
 enum class RacePolicy : std::uint8_t {
     kDetect = 0,  ///< proceed and fail (memif default)
@@ -197,32 +192,9 @@ struct MemifConfig {
     ///@}
 
     /**
-     * @name MMU-aware DMA lever (this PR; off by default so every
-     * earlier series keeps its exact shape; mmu_aware() turns it on
-     * atop tenanted() for the "memif-mmu-aware" series).
-     */
-    ///@{
-    /** SVA-routed DMA (IOMMU-SVA framing): flat replication streams
-     *  drop the pre-pinned physical SG contract — the engine resolves
-     *  each descriptor through the live page tables at consumption
-     *  time (strided and gather requests stay pre-pinned).
-     *  Translation runs ahead of the stream one window of descriptors
-     *  at a time: a window the per-tenant XlateCache already covers is
-     *  ready at once, the first other window is walked at prep, later
-     *  ones by asynchronous walks (EventQueue events at page-walk cost)
-     *  that overlap in-flight DMA. The TC-side consumer stalls
-     *  (counted) only when it outruns the walker; invalidation
-     *  mid-flight = demand re-walk; a descriptor whose pages went away
-     *  faults the chain (kXlateFault) into the recovery ladder. Never
-     *  stale bytes: the gate always resolves from the live page tables
-     *  — cache state only decides the stall charged. */
-    bool sva_dma = false;
-    ///@}
-
-    /**
      * @name Managed-mode levers (this PR; off by default so every
      * earlier series keeps its exact shape; managed() turns
-     * auto_migrate on atop mmu_aware() for the "memif-managed"
+     * auto_migrate on atop tenanted() for the "memif-managed"
      * series). With auto_migrate on, a periodic scan kthread samples
      * access heat from the young/dirty bits of regions registered via
      * manage_region(), and a migration daemon kthread turns policy
@@ -283,8 +255,8 @@ struct MemifConfig {
      * addresses): the driver emits EDMA3 A/B-count descriptors for
      * pitch-uniform page-interior runs, splits rows at page boundaries
      * on either side, and routes the result through the same SG /
-     * SVA-gate / recovery machinery as flat moves (the CPU fallback
-     * copies row-by-row, so layouts survive degradation intact).
+     * recovery machinery as flat moves (the CPU fallback copies
+     * row-by-row, so layouts survive degradation intact).
      */
     ///@{
     bool strided_dma = false;
@@ -333,21 +305,11 @@ struct MemifConfig {
         return c;
     }
 
-    /** tenanted() plus SVA-routed DMA (the "memif-mmu-aware"
-     *  series). */
-    static MemifConfig
-    mmu_aware()
-    {
-        MemifConfig c = tenanted();
-        c.sva_dma = true;
-        return c;
-    }
-
-    /** mmu_aware() plus managed mode (the "memif-managed" series). */
+    /** tenanted() plus managed mode (the "memif-managed" series). */
     static MemifConfig
     managed()
     {
-        MemifConfig c = mmu_aware();
+        MemifConfig c = tenanted();
         c.auto_migrate = true;
         return c;
     }
@@ -443,9 +405,8 @@ struct DeviceStats {
     std::uint64_t xlate_hits = 0;    ///< pages translated from the cache
     std::uint64_t xlate_misses = 0;  ///< pages that paid the radix walk
     std::uint64_t xlate_invalidations = 0;  ///< entries dropped by the hook
-    /** Extra pages walked by the *reactive* gang-prefetch (cache-miss
-     *  neighbour expansion). Distinct from the ahead-of-stream prefetch
-     *  counters below, which this field historically conflated. */
+    /** Extra pages walked by the gang-prefetch (cache-miss neighbour
+     *  expansion). */
     std::uint64_t xlate_gang_prefetched = 0;
     std::uint64_t bulk_allocs = 0;     ///< magazine refills (bulk calls)
     std::uint64_t magazine_pops = 0;   ///< frames handed out of a magazine
@@ -460,34 +421,13 @@ struct DeviceStats {
     std::uint64_t quota_hits_frames = 0;     ///< ... at the frame quota
     std::uint64_t shed_requests = 0;   ///< dropped at the queue-depth bound
     std::uint64_t wrr_dispatches = 0;  ///< requests picked by the WRR
-    // ----- MMU-aware DMA (ahead-of-stream prefetch / SVA routing) -----
-    /** Descriptors covered by an issued translation prefetch (the sync
-     *  window plus every scheduled asynchronous walk). */
-    std::uint64_t stream_prefetch_issued = 0;
-    /** Gate found the prefetched translation ready and live (zero
-     *  consumption-time stall). */
+    /** Always 0: every move is translated at Prep, so no stream
+     *  prefetch or consumption-time walk exists. Kept only because
+     *  memifbench still reads them. */
     std::uint64_t stream_prefetch_hits = 0;
-    /** Consumer outran the prefetcher: the covering walk was still in
-     *  flight, so the TC stalled until it landed. */
     std::uint64_t stream_prefetch_late = 0;
-    /** Prefetched translation unusable at consumption (invalidated
-     *  after fill, or the fill itself was dropped). */
     std::uint64_t stream_prefetch_wasted = 0;
-    /** Prefetch fills discarded by the generation check (invalidation
-     *  landed between issue and fill). */
-    std::uint64_t prefetch_fills_dropped = 0;
-    /** TC-side consumer stalls (late prefetch) and their total time. */
-    std::uint64_t consumer_stalls = 0;
-    sim::Duration consumer_stall_time = 0;
-    /** SVA-routed descriptors resolved through the MMU at consumption. */
-    std::uint64_t sva_resolved = 0;
-    /** ... that paid a demand walk in the stream (cache miss). */
     std::uint64_t sva_demand_walks = 0;
-    /** ... whose translation changed since prep (descriptor rewritten
-     *  from the live PTEs before the copy). */
-    std::uint64_t sva_retranslated = 0;
-    /** Consumption-time walk faults (chain terminated, kXlateFault). */
-    std::uint64_t sva_faults = 0;
     // ----- Managed mode (heat scan + migration daemon) ----------------
     std::uint64_t heat_scans = 0;           ///< scan epochs executed
     std::uint64_t heat_pages_sampled = 0;   ///< PTEs examined by the scanner
@@ -698,34 +638,6 @@ class MemifDevice {
         std::uint64_t file_page = 0;
     };
 
-    /** One SVA-routed descriptor's virtual span: what the engine's
-     *  translation gate re-resolves through the live page tables at
-     *  consumption time (sva_dma flat replication streams only). */
-    struct XlateSlot {
-        vm::VAddr src_va = 0;
-        vm::VAddr dst_va = 0;
-        std::uint64_t bytes = 0;
-        /** When the walk covering this slot's window completes (the
-         *  window's prep or cache-hit time when nothing is pending). */
-        sim::SimTime ready_at = 0;
-    };
-
-    /** The source and destination page runs under slots [lo, hi) of an
-     *  SVA stream, and what the walker pays to translate them: one
-     *  full descent per side plus one adjacent step per further page
-     *  (the gang-walk cost shape). */
-    struct SlotWindow {
-        const vm::Vma *svma = nullptr;
-        const vm::Vma *dvma = nullptr;
-        std::uint64_t s0 = 0, sn = 0;  ///< source first page, pages
-        std::uint64_t d0 = 0, dn = 0;  ///< destination first page, pages
-        sim::Duration walk = 0;
-        /** Both runs already translated in @p cache (null: never). */
-        bool cached_in(XlateCache *cache) const;
-        /** Record both runs into @p cache from the live PTEs. */
-        void record_into(XlateCache &cache) const;
-    };
-
     /** Per-page state of one request being served. */
     struct InFlight {
         std::uint32_t req_idx = 0;
@@ -778,18 +690,9 @@ class MemifDevice {
         /** Transient 4 KB frames charged to the tenant's quota; zeroed
          *  when the charge is returned (release or rollback). */
         std::uint64_t frames_charged = 0;
-        /** Replication destination region (SVA gate re-resolution). */
+        /** Replication destination region (managed-mode collision
+         *  checks). */
         vm::Vma *dst_vma = nullptr;
-        /** SVA-routed stream: one entry per descriptor in fl->sg.
-         *  Empty = pre-pinned transfer (no gate installed). */
-        std::vector<XlateSlot> slots;
-        /** Next prefetch batch to issue (stream prefetcher cursor). */
-        std::uint64_t next_prefetch_batch = 0;
-        /** Outstanding prefetch-fill events (cancelled at retire). */
-        std::vector<sim::EventQueue::EventId> prefetch_events;
-        /** Pending-prefetch tokens registered with the xlate cache
-         *  (drained at retire so no pending entry outlives the move). */
-        std::vector<std::uint64_t> prefetch_tokens;
     };
     using InFlightPtr = std::shared_ptr<InFlight>;
 
@@ -895,9 +798,8 @@ class MemifDevice {
      *  TC error, into the recovery ladder. */
     sim::Task on_dma_complete(InFlightPtr fl);
     /** kNone if @p fl's completed transfer is clean; otherwise count
-     *  and trace (in @p ctx) the error and return what the recovery
-     *  ladder sees: kXlateFault for a translation-gate fault, kDmaError
-     *  for a TC bus error. Must run before the errored record is
+     *  and trace (in @p ctx) the TC bus error and return kDmaError for
+     *  the recovery ladder. Must run before the errored record is
      *  reclaimed or purged, whose stale id reads as faultless. */
     MovError classify_dma_error(const InFlightPtr &fl, sim::ExecContext ctx);
     /** When supervision of transfer @p tid, started now, gives up:
@@ -990,38 +892,6 @@ class MemifDevice {
      *  per-submit-CPU flight shard when rings are on). */
     void add_in_flight(const InFlightPtr &fl);
     void remove_in_flight(const InFlightPtr &fl);
-
-    // ----- MMU-aware DMA (stream prefetch / SVA routing) --------------
-    /** Resolve the span [@p va, @p va + @p bytes) of @p vma through the
-     *  live PTEs. False when any page is absent / mid-migration or the
-     *  resolved frames are not physically contiguous; otherwise @p out
-     *  receives the physical byte address of @p va. */
-    static bool resolve_span(const vm::Vma *vma, vm::VAddr va,
-                             std::uint64_t bytes, std::uint64_t *out);
-    /** The page runs and walk cost under slots [@p lo, @p hi) of
-     *  @p fl's stream. */
-    SlotWindow slot_window(const InFlight &fl, std::size_t lo,
-                           std::size_t hi) const;
-    /** Translate window @p batch of @p fl's stream ahead of
-     *  consumption and set its slots' ready_at: free when the xlate
-     *  cache covers it; else walked now (@p sync, the prep window:
-     *  returns the walk time for the caller to charge) or by an
-     *  asynchronous walk behind pending-prefetch tokens (returns 0). */
-    sim::Duration prefetch_window(const InFlightPtr &fl, std::uint64_t batch,
-                                  bool sync);
-    /** The engine's per-descriptor translation gate (sva_dma): always
-     *  re-resolves @p d from the live page tables; prefetch / cache
-     *  state only decides the stall charged. Keeps the prefetcher
-     *  running ahead of the consumption stream. */
-    dma::XlateVerdict sva_gate_check(const InFlightPtr &fl,
-                                     std::uint32_t idx,
-                                     dma::TransferDescriptor &d);
-    /** Re-resolve @p fl->sg from the live page tables (retry-ladder
-     *  restart and CPU fallback of an SVA-routed stream re-validate
-     *  every prefetched translation before touching bytes). */
-    void revalidate_stream(const InFlightPtr &fl);
-    /** Cancel outstanding prefetch-fill events (retire / teardown). */
-    void cancel_stream_prefetch(const InFlightPtr &fl);
 
     // ----- Multi-tenant service layer ---------------------------------
     /** One registered address space: its quotas, WRR state, and (when

@@ -47,7 +47,6 @@ enum class MovError : std::uint32_t {
     kDmaError,       ///< unrecoverable DMA failure (retries exhausted)
     kTimeout,        ///< watchdog expired: transfer stuck or irq lost
     kNoSpace,        ///< admission control: tenant quota exhausted
-    kXlateFault,     ///< SVA-routed DMA: walk fault at consumption time
 };
 
 /**

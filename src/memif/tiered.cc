@@ -198,8 +198,7 @@ MemifDevice::run_hop(InFlightPtr fl, const std::vector<dma::SgEntry> *sg,
         auto done = std::make_shared<sim::SimEvent>(kernel_.eq());
         const dma::TransferId tid =
             drv.start(std::move(prepared), /*irq_mode=*/true,
-                      [done](dma::TransferId) { done->set(); }, tc,
-                      /*moderated=*/false, nullptr);
+                      [done](dma::TransferId) { done->set(); }, tc);
         const sim::EventQueue::EventId timer = kernel_.eq().schedule_at(
             watchdog_deadline(tid), [done] { done->set(); });
         co_await done->wait();

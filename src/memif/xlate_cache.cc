@@ -60,41 +60,7 @@ XlateCache::invalidate(const vm::Vma *vma, std::uint64_t first,
             ++i;
         }
     }
-    // Pending prefetches over the range snapshot translations that may
-    // predate this invalidation; poison them so the fill is discarded.
-    for (Pending &p : pending_) {
-        if (p.vma == vma && first < p.first_page + p.num_pages &&
-            p.first_page < first + n)
-            p.killed = true;
-    }
     return dropped;
-}
-
-std::uint64_t
-XlateCache::begin_prefetch(const vm::Vma *vma, std::uint64_t first,
-                           std::uint64_t n)
-{
-    Pending p;
-    p.vma = vma;
-    p.first_page = first;
-    p.num_pages = n;
-    p.token = ++next_token_;
-    pending_.push_back(p);
-    return p.token;
-}
-
-bool
-XlateCache::fill_prefetch(std::uint64_t token, std::vector<vm::Pte> ptes)
-{
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].token != token) continue;
-        const Pending p = pending_[i];
-        pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-        if (p.killed) return false;
-        record(p.vma, p.first_page, std::move(ptes));
-        return true;
-    }
-    return false;  // unknown token (e.g. cache cleared); drop the fill
 }
 
 }  // namespace memif

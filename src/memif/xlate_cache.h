@@ -2,8 +2,8 @@
  * @file
  * Gang translation cache: the driver-side cache of recent gang-lookup
  * results that lets repeated moves over hot regions skip the radix
- * page-table walk entirely (the TLB-prefetching / MMU-aware-DMA idea
- * applied to the memif submission path).
+ * page-table walk entirely (the TLB-prefetching idea applied to the
+ * memif submission path).
  *
  * Entries are keyed by (Vma, first page index) and cover a contiguous
  * page run. Invalidation is precise and eager: the AddressSpace
@@ -71,49 +71,11 @@ class XlateCache {
 
     /**
      * Drop every entry overlapping pages [first, first+n) of @p vma
-     * and bump the generation. Pending prefetches overlapping the range
-     * are marked killed so their eventual fill_prefetch() is discarded
-     * (the walk they snapshot may predate the PTE change).
+     * and bump the generation.
      * @return the number of entries dropped.
      */
     std::uint64_t invalidate(const vm::Vma *vma, std::uint64_t first,
                              std::uint64_t n);
-
-    /**
-     * An in-flight ahead-of-stream translation prefetch: issued when
-     * the walk is scheduled, filled when it completes. The window
-     * between the two is where an invalidation can land; the
-     * generation check at fill time is what makes that race safe.
-     */
-    struct Pending {
-        const vm::Vma *vma = nullptr;
-        std::uint64_t first_page = 0;
-        std::uint64_t num_pages = 0;
-        std::uint64_t token = 0;
-        bool killed = false;
-    };
-
-    /**
-     * Register an in-flight prefetch for pages [first, first+n) of
-     * @p vma. @return a token to pass to fill_prefetch() when the
-     * simulated walk completes.
-     */
-    std::uint64_t begin_prefetch(const vm::Vma *vma, std::uint64_t first,
-                                 std::uint64_t n);
-
-    /**
-     * Complete the prefetch registered under @p token. If no
-     * invalidation overlapped the range in the meantime, the walked
-     * @p ptes are record()ed and true is returned; otherwise the fill
-     * is dropped (stale walk) and false is returned.
-     */
-    bool fill_prefetch(std::uint64_t token, std::vector<vm::Pte> ptes);
-
-    /** In-flight prefetches (diagnostics / tests). */
-    const std::vector<Pending> &pending_prefetches() const
-    {
-        return pending_;
-    }
 
     std::size_t size() const { return entries_.size(); }
     std::uint64_t generation() const { return generation_; }
@@ -127,9 +89,7 @@ class XlateCache {
     std::size_t max_entries_;
     std::uint64_t generation_ = 0;
     std::uint64_t tick_ = 0;
-    std::uint64_t next_token_ = 0;
     std::vector<Entry> entries_;
-    std::vector<Pending> pending_;
 };
 
 }  // namespace memif

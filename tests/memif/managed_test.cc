@@ -4,7 +4,8 @@
  * decay, EWMA hysteresis, bucket geometry), then the scan kthread +
  * migration daemon end to end — promotion of hot buckets, demotion
  * once they cool, the per-epoch page budget, failure absorption under
- * injected fault bursts, and inertness with the lever off.
+ * injected fault bursts, the kBusy rule between app and daemon movs
+ * over the same pages, and inertness with the lever off.
  *
  * The integration tests drive heat with one deterministic touch pass
  * over the managed region at t=0 (manage_region arms every PTE, so
@@ -339,9 +340,97 @@ TEST(Managed, DaemonAbsorbsFaultBurstsWithoutPerturbingAppRequests)
                   ds.daemon_movs_dropped);
 }
 
+/** Poll every 100 ns of simulated time until @p done holds. */
+template <typename Pred>
+sim::Task
+wait_until(Fixture &f, Pred done)
+{
+    while (!done()) co_await sim::Delay{f.kernel.eq(), 100};
+}
+
+/** Replicate @p npages from @p src to @p dst and wait for the outcome;
+ *  the request's final status lands in @p status, its error in @p err. */
+sim::Task
+replicate_and_wait(Fixture &f, vm::VAddr src, std::uint32_t npages,
+                   vm::VAddr dst, MovStatus *status, MovError *err)
+{
+    const std::uint32_t idx = f.user.alloc_request();
+    MovReq &req = f.user.request(idx);
+    req.op = MovOp::kReplicate;
+    req.src_base = src;
+    req.dst_base = dst;
+    req.num_pages = npages;
+    co_await f.user.submit(idx);
+    co_await wait_until(f, [&req] {
+        const MovStatus st = req.load_status();
+        return st != MovStatus::kSubmitted && st != MovStatus::kInFlight;
+    });
+    *status = req.load_status();
+    *err = req.error;
+    f.user.free_request(idx);
+}
+
+// App and daemon movs over the same pages never overlap in flight:
+// whichever reaches Prep second bounces with kBusy. That is why a
+// move is never retargeted mid-copy — its frames cannot change under
+// it while it is in flight.
+TEST(Managed, AppAndDaemonCollisionsBounceWithKBusy)
+{
+    Fixture f(test_managed());
+    const std::uint32_t pages = 32;  // 4 buckets of 8
+    const vm::VAddr base = f.proc.mmap(pages * 4096, vm::PageSize::k4K,
+                                       f.kernel.slow_node());
+    f.fill(base, pages * 4096, 29);
+    const vm::VAddr dst = f.proc.mmap(3 * 8 * 4096, vm::PageSize::k4K,
+                                      f.kernel.fast_node());
+    ASSERT_TRUE(f.dev.manage_region(base));
+    const vm::Vma *vma = f.proc.as().find_vma(base);
+    ASSERT_NE(vma, nullptr);
+    const DeviceStats &ds = f.dev.stats();
+
+    MovStatus st[3] = {};
+    MovError err[3] = {};
+    std::uint64_t dropped_after_first = 0;
+    auto app = [&]() -> sim::Task {
+        // 1. The first scan epoch finds every bucket hot; the app
+        //    replicates bucket 0 before the daemon's promotion of it
+        //    reaches Prep, so that promotion is dropped.
+        co_await wait_until(f, [&] { return ds.heat_scans >= 1; });
+        co_await replicate_and_wait(f, base, 8, dst, &st[0], &err[0]);
+        dropped_after_first = ds.daemon_movs_dropped;
+        // 2. After its one-epoch cooldown the daemon promotes bucket 0
+        //    again. A replication submitted while that migration is in
+        //    flight bounces with kBusy; its retry after the migration
+        //    lands the bytes.
+        co_await wait_until(f, [&] { return vma->pte(0).migration; });
+        co_await replicate_and_wait(f, base, 8, dst + 8 * 4096, &st[1],
+                                    &err[1]);
+        co_await wait_until(f, [&] { return !vma->pte(0).migration; });
+        co_await replicate_and_wait(f, base, 8, dst + 16 * 4096, &st[2],
+                                    &err[2]);
+    };
+    f.kernel.spawn(touch_all(f, base, pages));
+    f.kernel.spawn(app());
+    f.kernel.run();
+
+    EXPECT_EQ(st[0], MovStatus::kDone);
+    EXPECT_EQ(dropped_after_first, 1u);
+    EXPECT_EQ(st[1], MovStatus::kFailed);
+    EXPECT_EQ(err[1], MovError::kBusy);
+    EXPECT_EQ(st[2], MovStatus::kDone);
+    EXPECT_TRUE(f.check(dst, 8 * 4096, 29));
+    EXPECT_TRUE(f.check(dst + 16 * 4096, 8 * 4096, 29));
+    EXPECT_TRUE(f.check(base, pages * 4096, 29));
+    // The only drop is the first collision; nothing else was lost.
+    EXPECT_EQ(ds.daemon_movs_dropped, 1u);
+    EXPECT_EQ(ds.promotions_issued + ds.demotions_issued,
+              ds.promotions_completed + ds.demotions_completed +
+                  ds.daemon_movs_dropped);
+}
+
 TEST(Managed, AutoMigrateOffIsInert)
 {
-    Fixture f(MemifConfig::mmu_aware());
+    Fixture f(MemifConfig::tenanted());
     const vm::VAddr base = f.proc.mmap(16 * 4096, vm::PageSize::k4K);
     f.fill(base, 16 * 4096, 5);
 

@@ -1,12 +1,11 @@
 /**
  * @file
  * The differential suite proper: seeded random workloads replayed
- * through all nine presets (levers-off, pipelined, moderated, scaled,
- * tenanted, mmu_aware, managed, tiered, strided) must match the
- * reference model
+ * through all eight presets (levers-off, pipelined, moderated, scaled,
+ * tenanted, managed, tiered, strided) must match the reference model
  * byte-for-byte and leave the driver fully quiesced — under FIFO
  * scheduling, fuzzed schedules, injected faults, invalidation storms
- * racing TLB shootdowns against in-flight translation prefetches, and
+ * racing TLB shootdowns against the gang translation cache, and
  * heat churn driving the managed preset's migration daemon underneath
  * the workload's own requests.
  *
@@ -230,7 +229,6 @@ TEST(Differential, EveryConfigLeverAppearsInAPreset)
     EXPECT_TRUE(top.bulk_alloc);
     EXPECT_TRUE(top.percpu_rings);
     EXPECT_TRUE(top.multi_tenant);
-    EXPECT_TRUE(top.sva_dma);
     EXPECT_TRUE(top.auto_migrate);
     EXPECT_TRUE(top.tiered_memory);
     EXPECT_TRUE(top.pipelined_eviction);
@@ -243,11 +241,10 @@ TEST(Differential, EveryConfigLeverAppearsInAPreset)
 
 // Invalidation storm: every mov is chased by same-instant touches on
 // its own pages, so young/dirty PTE CASes fire the xlate-invalidate
-// hook while translations are in flight — pending prefetches are
-// killed between issue and fill, filled entries between fill and
-// consumption. The SVA gate must re-walk (never serve stale bytes)
-// and the generation check must drop the dead fills; final memory
-// stays byte-identical across every preset.
+// hook while the move is in flight — gang-cache entries recorded at
+// Prep are shot down before the next move over the same pages. No
+// later Prep may serve a translation the page tables moved away from;
+// final memory stays byte-identical across every preset.
 TEST(Differential, InvalidationStormsMatchTheModel)
 {
     const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
@@ -296,27 +293,18 @@ TEST(Differential, StridedWorkloadsMatchTheModel)
         const Workload w =
             generate_workload(seed, /*invalidation_storm=*/false,
                               /*heat_churn=*/false, /*strided=*/true);
-        // Leg 1: the full preset (SVA on). Leg 2: the same config
-        // minus sva_dma. Strided requests are pre-pinned and fold into
-        // 2D descriptors in both, so the legs differ only on the flat
-        // replications mixed into the stream — both must match the
-        // oracle.
-        core::MemifConfig nosva = p.config;
-        nosva.sva_dma = false;
-        for (const core::MemifConfig &cfg : {p.config, nosva}) {
-            for (std::uint64_t sched : {0ull, 29ull}) {
-                RunOptions opt;
-                opt.config = cfg;
-                opt.schedule_seed = sched;
-                const RunResult r = run_workload(w, opt);
-                ASSERT_TRUE(r.ok)
-                    << "preset " << p.name << " (strided, sva_dma="
-                    << cfg.sva_dma << "): " << r.failure << "\n"
-                    << diagnose(w, opt);
-                strided_requests += r.stats.strided_requests;
-                strided_descriptors += r.stats.strided_descriptors;
-                row_splits += r.stats.strided_row_splits;
-            }
+        for (std::uint64_t sched : {0ull, 29ull}) {
+            RunOptions opt;
+            opt.config = p.config;
+            opt.schedule_seed = sched;
+            const RunResult r = run_workload(w, opt);
+            ASSERT_TRUE(r.ok)
+                << "preset " << p.name << " (strided): " << r.failure
+                << "\n"
+                << diagnose(w, opt);
+            strided_requests += r.stats.strided_requests;
+            strided_descriptors += r.stats.strided_descriptors;
+            row_splits += r.stats.strided_row_splits;
         }
     }
     EXPECT_GT(strided_requests, 0u)
