@@ -21,12 +21,25 @@
  *                 it — measured after a warmup window, under the aging
  *                 placement policy (the "managed-aging" rows).
  *
+ * A second table runs the managed cells on three tiers (tiered(), a
+ * 64 MB far node priced at its bandwidth plus its access latency):
+ *
+ *   fits-ddr      the 2x set on the default DDR: the daemon's far
+ *                 verdict is gated on DDR pressure, so with room it
+ *                 must place exactly like two-tier managed.
+ *   squeezed-ddr  24 MB of DDR (as in bench_tiered) holding the 2x set,
+ *                 an idle region never touched after setup, and a
+ *                 fresh DDR allocation every epoch. Only demoting cold
+ *                 pages to far makes room for the allocations.
+ *
  * Gates (scripts/check_bench_regression.py): at 2x oversubscription
  * managed reaches >= 1.3x static-worst and >= 0.70x static-best
  * throughput on at least one mix.  The static-best bound is loose on
  * purpose: the oracle pays no discovery ramp or sampling tax and packs
  * leftover SRAM with cold pages the daemon deliberately never
- * promotes.
+ * promotes.  On three tiers, fits-ddr reaches >= 0.95x two-tier
+ * managed on every mix and never demotes to far; squeezed-ddr sees
+ * DDR pressure, demotes cold pages to far, and no allocation fails.
  */
 #include <algorithm>
 #include <cstdio>
@@ -71,11 +84,22 @@ constexpr Mix kMixes[] = {
 
 enum class Placement { kWorst, kBest, kManaged };
 
+/** The machine and extra DDR demand of a three-tier managed cell. */
+struct TierSetup {
+    bool tiered = false;           ///< tiered() levers + a far node
+    std::uint64_t slow_bytes = 0;  ///< DDR capacity (0 = default)
+    /** Pages mapped on DDR at setup and never touched again. */
+    std::uint32_t idle_pages = 0;
+    /** Pages the app maps on DDR (and touches once) every epoch. */
+    std::uint32_t growth_pages = 0;
+};
+
 struct CellOutcome {
     sim::Duration elapsed = 0;   ///< measured epochs only (post warmup)
     std::uint64_t bytes = 0;     ///< bytes accessed in measured epochs
     core::DeviceStats stats{};
     std::uint64_t ping_pongs = 0;
+    std::uint32_t alloc_failures = 0;  ///< growth mmaps that failed
 
     double gb_per_sec() const { return sim::gb_per_sec(bytes, elapsed); }
 };
@@ -86,12 +110,14 @@ struct CellOutcome {
  * regions to the daemon and let it figure out which one is hot.
  */
 CellOutcome
-run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place)
+run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place,
+         const TierSetup &tier = {})
 {
     const Shape sh = shape();
-    core::MemifConfig mc = place == Placement::kManaged
-                               ? core::MemifConfig::managed()
-                               : core::MemifConfig::tenanted();
+    core::MemifConfig mc = place != Placement::kManaged
+                               ? core::MemifConfig::tenanted()
+                           : tier.tiered ? core::MemifConfig::tiered()
+                                         : core::MemifConfig::managed();
     if (place == Placement::kManaged) {
         // The cell's hot set is hundreds of pages; the default trickle
         // budget would spend the whole run converging.
@@ -112,7 +138,10 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place)
         mc.heat_settle_epochs = 2;
         mc.heat_dormant_cap = 64;
     }
-    TestBed bed(mc);
+    os::KernelConfig kc;
+    if (tier.tiered) kc.far_bytes = 64ull << 20;
+    if (tier.slow_bytes != 0) kc.slow_bytes = tier.slow_bytes;
+    TestBed bed(mc, kc);
     os::Kernel &k = bed.kernel;
     const mem::NodeId slow = k.slow_node();
     const mem::NodeId fast = k.fast_node();
@@ -131,18 +160,33 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place)
         MEMIF_ASSERT(bed.dev.manage_region(hot_base), "manage hot");
         MEMIF_ASSERT(bed.dev.manage_region(cold_base), "manage cold");
     }
+    if (tier.idle_pages > 0) {
+        const vm::VAddr idle_base = bed.proc.mmap(
+            std::uint64_t{tier.idle_pages} * kPageBytes, vm::PageSize::k4K,
+            slow);
+        MEMIF_ASSERT(idle_base != 0, "idle region mmap failed");
+        MEMIF_ASSERT(bed.dev.manage_region(idle_base), "manage idle");
+    }
     const vm::Vma *hot_vma = bed.proc.as().find_vma(hot_base);
     const vm::Vma *cold_vma = bed.proc.as().find_vma(cold_base);
 
     // Price one access by where the page lives right now. Mid-move
     // (migration PTE) pages are priced at the slow rate — the CPU is
-    // about to stall on them anyway.
+    // about to stall on them anyway. A far-tier page also pays the
+    // node's access latency.
     auto access_cost = [&](const vm::Vma *vma, std::uint32_t page) {
         const vm::Pte pte = vma->pte(page);
-        const bool on_fast =
-            pte.present && !pte.migration &&
-            k.phys().node_of(pte.pfn) == fast;
-        const double bw = on_fast ? fast_bw : slow_bw;
+        const mem::NodeId n =
+            pte.present && !pte.migration ? k.phys().node_of(pte.pfn)
+                                          : slow;
+        if (k.has_far_node() && n == k.far_node()) {
+            const mem::MemoryNode &far = k.phys().node(n);
+            return static_cast<sim::Duration>(
+                       static_cast<double>(kPageBytes) * 1e9 /
+                       far.bandwidth_bps()) +
+                   static_cast<sim::Duration>(far.latency_ns()) + 150;
+        }
+        const double bw = n == fast ? fast_bw : slow_bw;
         return static_cast<sim::Duration>(
                    static_cast<double>(kPageBytes) * 1e9 / bw) +
                150;  // fixed per-access overhead (ns)
@@ -156,6 +200,25 @@ run_cell(const Mix &mix, std::uint32_t ws_pages, Placement place)
              ++e) {
             if (e == sh.warmup_epochs) measure_start = k.eq().now();
             const bool measuring = e >= sh.warmup_epochs;
+            if (tier.growth_pages > 0) {
+                // The app's footprint grows: a fresh DDR region, handed
+                // to the daemon and touched once, then left to cool.
+                const vm::VAddr grown = bed.proc.mmap(
+                    std::uint64_t{tier.growth_pages} * kPageBytes,
+                    vm::PageSize::k4K, slow);
+                if (grown == 0) {
+                    ++out.alloc_failures;
+                } else {
+                    MEMIF_ASSERT(bed.dev.manage_region(grown),
+                                 "manage grown region");
+                    for (std::uint32_t i = 0; i < tier.growth_pages; ++i) {
+                        os::TouchOutcome t;
+                        co_await bed.proc.touch(
+                            grown + std::uint64_t{i} * kPageBytes, true,
+                            &t);
+                    }
+                }
+            }
             for (std::uint32_t s = 0; s < sh.sweeps_per_epoch; ++s) {
                 std::uint64_t bytes = 0;
                 // Pay for accesses in small batches rather than one
@@ -290,5 +353,58 @@ main()
     std::printf("gates: at 2x oversubscription, managed >= 1.3x "
                 "static-worst and >= 0.70x static-best on at least one "
                 "mix\n");
+
+    // Three tiers at 2x oversubscription. Two-tier managed reruns here
+    // as the reference, cell for cell.
+    const std::uint32_t ws = kFastPages * 2;
+    header("Managed mode on three tiers (2x oversubscription)");
+    std::printf("%-15s %-13s %8s %6s %6s %7s %8s %6s %9s\n", "mix",
+                "machine", "GB/s", "promo", "demo", "to_far", "pressure",
+                "allocf", "vs_2tier");
+    rule();
+    const TierSetup fits{.tiered = true};
+    const TierSetup squeezed{.tiered = true,
+                             .slow_bytes = 24ull << 20,
+                             .idle_pages = 2048,
+                             .growth_pages = 256};
+    for (const Mix &mix : kMixes) {
+        const CellOutcome two = run_cell(mix, ws, Placement::kManaged);
+        auto row = [&](const char *machine, const CellOutcome &c) {
+            std::printf(
+                "%-15s %-13s %8.2f %6llu %6llu %7llu %8llu %6u",
+                mix.name, machine, c.gb_per_sec(),
+                static_cast<unsigned long long>(
+                    c.stats.promotions_completed),
+                static_cast<unsigned long long>(
+                    c.stats.demotions_completed),
+                static_cast<unsigned long long>(c.stats.demotions_to_far),
+                static_cast<unsigned long long>(
+                    c.stats.ddr_pressure_epochs),
+                c.alloc_failures);
+            const std::string series =
+                std::string(mix.name) + "-tiered-" + machine;
+            report.add(series, 2.0, c.gb_per_sec());
+            report.add(series + "-to-far", 2.0,
+                       static_cast<double>(c.stats.demotions_to_far));
+            report.add(series + "-pressure-epochs", 2.0,
+                       static_cast<double>(c.stats.ddr_pressure_epochs));
+            report.add(series + "-alloc-failures", 2.0, c.alloc_failures);
+            return series;
+        };
+        // Only fits-ddr runs on two-tier's machine; squeezed-ddr's
+        // smaller DDR and extra demand make a ratio meaningless.
+        const CellOutcome f =
+            run_cell(mix, ws, Placement::kManaged, fits);
+        const double vs_two = f.gb_per_sec() / two.gb_per_sec();
+        report.add(row("fits-ddr", f) + "-vs-two-tier", 2.0, vs_two);
+        std::printf(" %8.2fx\n", vs_two);
+        row("squeezed-ddr",
+            run_cell(mix, ws, Placement::kManaged, squeezed));
+        std::printf(" %9s\n", "-");
+        rule();
+    }
+    std::printf("gates: fits-ddr >= 0.95x two-tier managed on every mix "
+                "with no far demotion; squeezed-ddr is pressured, "
+                "demotes to far, and no allocation fails\n");
     return 0;
 }

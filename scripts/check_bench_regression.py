@@ -99,6 +99,16 @@ MIN_MANAGED_VS_WORST = 1.3
 MIN_MANAGED_VS_BEST = 0.70
 MANAGED_MIXES = ["stream", "data_intensive"]
 
+# Three-tier managed gates (bench_managed, 2x oversubscription).  The
+# daemon demotes cold pages to the far tier only under DDR pressure.
+# fits-ddr runs the set on the default DDR, so its placement must match
+# two-tier managed: measured 1.00x on both mixes (full and quick), gate
+# at 0.95, and it must never demote to far.  squeezed-ddr runs on 24 MB
+# of DDR with an idle region and a fresh DDR allocation every epoch:
+# DDR must be seen under its watermark, cold pages must reach far, and
+# every allocation must succeed.
+MIN_TIERED_FITS_VS_TWO_TIER = 0.95
+
 # Tiered-memory gates (bench_tiered).  Pipelined multi-hop eviction
 # overlaps batch k+1's SRAM->DDR hop with batch k's DDR->far hop across
 # the engine's TCs; measured 1.64x sequential store-and-forward at
@@ -276,6 +286,46 @@ def check_managed(where):
                     f"static-worst and >= {MIN_MANAGED_VS_BEST}x "
                     f"static-best at {MANAGED_OVERSUB}x oversubscription")
     print("check_bench_regression: managed mode OK")
+    return check_managed_tiered(where, series)
+
+
+def check_managed_tiered(where, series):
+    """The far verdict must wait for DDR pressure, and then act."""
+    def point(name):
+        return dict(series.get(name, [])).get(MANAGED_OVERSUB)
+
+    for mix in MANAGED_MIXES:
+        fits = f"{mix}-tiered-fits-ddr"
+        squeezed = f"{mix}-tiered-squeezed-ddr"
+        values = {
+            "vs_two": point(f"{fits}-vs-two-tier"),
+            "fits_to_far": point(f"{fits}-to-far"),
+            "to_far": point(f"{squeezed}-to-far"),
+            "pressure": point(f"{squeezed}-pressure-epochs"),
+            "allocf": point(f"{squeezed}-alloc-failures"),
+        }
+        missing = [k for k, v in values.items() if v is None]
+        if missing:
+            return fail(f"{mix} three-tier managed series missing "
+                        f"({', '.join(missing)}) at {MANAGED_OVERSUB}x")
+        print(f"  {mix} three tiers: fits-ddr {values['vs_two']:.2f}x "
+              f"two-tier, {int(values['fits_to_far'])} far demotions; "
+              f"squeezed-ddr {int(values['pressure'])} pressured epochs, "
+              f"{int(values['to_far'])} far demotions, "
+              f"{int(values['allocf'])} failed allocations")
+        if values["vs_two"] < MIN_TIERED_FITS_VS_TWO_TIER:
+            return fail(f"{mix} fits-ddr {values['vs_two']:.2f}x < "
+                        f"{MIN_TIERED_FITS_VS_TWO_TIER}x two-tier managed")
+        if values["fits_to_far"] != 0:
+            return fail(f"{mix} fits-ddr demoted to far with room on DDR")
+        if values["pressure"] == 0:
+            return fail(f"{mix} squeezed-ddr never saw DDR pressure")
+        if values["to_far"] == 0:
+            return fail(f"{mix} squeezed-ddr never demoted to far")
+        if values["allocf"] != 0:
+            return fail(f"{mix} squeezed-ddr: {int(values['allocf'])} "
+                        f"allocations failed")
+    print("check_bench_regression: managed three-tier OK")
     return check_tiered(where)
 
 

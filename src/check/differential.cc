@@ -21,6 +21,15 @@ using core::MovOp;
 using core::MovReq;
 using core::MovStatus;
 
+namespace {
+
+/** tiered-squeezed's DDR: the workload's ~832 KB of regions fill more
+ *  than three quarters of it, so the daemon starts out pressured and
+ *  demotes cold buckets to far until DDR has room again. */
+constexpr std::uint64_t kSqueezedSlowBytes = 1ull << 20;
+
+}  // namespace
+
 const std::vector<Preset> &
 presets()
 {
@@ -32,9 +41,19 @@ presets()
         {"tenanted", MemifConfig::tenanted()},
         {"managed", MemifConfig::managed()},
         {"tiered", MemifConfig::tiered()},
+        {"tiered-squeezed", MemifConfig::tiered(), kSqueezedSlowBytes},
         {"strided", MemifConfig::strided()},
     };
     return kPresets;
+}
+
+RunOptions
+preset_options(const Preset &p)
+{
+    RunOptions opt;
+    opt.config = p.config;
+    opt.slow_bytes = p.slow_bytes;
+    return opt;
 }
 
 std::string
@@ -84,6 +103,7 @@ run_workload(const Workload &w, const RunOptions &opt)
     // construction.
     os::KernelConfig kcfg;
     if (opt.config.tiered_memory) kcfg.far_bytes = 64ull << 20;
+    if (opt.slow_bytes != 0) kcfg.slow_bytes = opt.slow_bytes;
     os::Kernel kernel(kcfg);
     if (opt.schedule_seed != 0)
         kernel.eq().set_tie_break_seed(opt.schedule_seed);

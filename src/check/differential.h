@@ -35,15 +35,22 @@ namespace memif::check {
 struct Preset {
     const char *name;
     core::MemifConfig config;
+    /** DDR capacity of the machine the preset runs on; 0 keeps the
+     *  kernel default. */
+    std::uint64_t slow_bytes = 0;
 };
 
-/** The eight standard presets: levers-off, pipelined, moderated,
+/** The nine standard presets: levers-off, pipelined, moderated,
  *  scaled, tenanted, managed, tiered, strided (each a superset of the
- *  previous one's levers). */
+ *  previous one's levers), plus tiered-squeezed — tiered's levers on a
+ *  machine whose DDR the workload regions crowd under the daemon's
+ *  pressure watermark, so its far-tier verdict runs too. */
 const std::vector<Preset> &presets();
 
 struct RunOptions {
     core::MemifConfig config{};
+    /** DDR capacity override; 0 keeps the kernel default. */
+    std::uint64_t slow_bytes = 0;
     /** Same-timestamp tie-break seed; 0 = deterministic FIFO order. */
     std::uint64_t schedule_seed = 0;
     /** Arm probabilistic DMA/alloc fault injection (seeded from the
@@ -81,6 +88,9 @@ struct RunResult {
     std::uint64_t full_digest = 0;
     core::DeviceStats stats{};
 };
+
+/** Run options for @p p: its levers and its machine's DDR size. */
+RunOptions preset_options(const Preset &p);
 
 /** Replay @p w through a fresh simulated machine under @p opt. */
 RunResult run_workload(const Workload &w, const RunOptions &opt);

@@ -564,6 +564,8 @@ MemifDevice::print_stats(std::FILE *out) const
                      static_cast<unsigned long long>(s.demotions_to_far),
                      static_cast<unsigned long long>(
                          s.promotions_from_far));
+        std::fprintf(out, "  ddr_pressure_epochs   %12llu\n",
+                     static_cast<unsigned long long>(s.ddr_pressure_epochs));
     }
     if (!config_.multi_tenant) return;
     // kErrNoSpace used to vanish from the caller's view; the admission

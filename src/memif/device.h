@@ -464,6 +464,9 @@ struct DeviceStats {
     std::uint64_t staging_pool_waits = 0;  ///< batches that waited for frames
     std::uint64_t demotions_to_far = 0;    ///< daemon movs targeting far
     std::uint64_t promotions_from_far = 0; ///< daemon movs leaving far
+    /** Scan epochs that found DDR under its free-frame watermark: the
+     *  only epochs in which cold buckets are demoted to far. */
+    std::uint64_t ddr_pressure_epochs = 0;
     // ----- Strided DMA (2D descriptors + gather) ----------------------
     std::uint64_t strided_requests = 0;    ///< strided movs served
     std::uint64_t gather_requests = 0;     ///< ... whose source was a gather
@@ -1069,6 +1072,10 @@ class MemifDevice {
     bool scan_parked_ = false;
     bool daemon_parked_ = false;
     std::uint32_t scan_quiet_epochs_ = 0;
+    /** DDR above its free-frame watermark, as sampled at the top of the
+     *  latest scan epoch (tiered daemon only). The one pressure bit
+     *  both the scanner and the daemon hand to classify_tiered(). */
+    bool slow_has_room_ = true;
     /** Pages the daemon may still move this epoch (scanner refills). */
     std::uint32_t daemon_budget_ = 0;
     /** Daemon movs between submission and terminal handling. */

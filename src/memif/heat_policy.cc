@@ -69,12 +69,16 @@ RegionHeat::fold(std::uint64_t bucket, std::uint32_t accessed,
 }
 
 TierVerdict
-RegionHeat::classify_tiered(std::uint64_t bucket, HeatTier resident) const
+RegionHeat::classify_tiered(std::uint64_t bucket, HeatTier resident,
+                            bool slow_has_room) const
 {
     const HeatBucket &b = buckets_[bucket];
     if (b.hot)
         return resident == HeatTier::kFast ? TierVerdict::kStay
                                            : TierVerdict::kToFast;
+    if (b.cold && slow_has_room)
+        return resident == HeatTier::kFast ? TierVerdict::kToSlow
+                                           : TierVerdict::kStay;
     if (b.cold)
         return resident == HeatTier::kFar ? TierVerdict::kStay
                                           : TierVerdict::kToFar;

@@ -38,8 +38,9 @@ enum class HeatVerdict : std::uint8_t { kStay = 0, kPromote, kDemote };
 enum class HeatTier : std::uint8_t { kFast = 0, kSlow = 1, kFar = 2 };
 
 /** Three-way placement verdict (tiered_memory mode): hot buckets
- *  belong on the fast tier, warm buckets stop at DDR, cold buckets
- *  sink to the far tier. */
+ *  belong on the fast tier, warm buckets stop at DDR, and cold buckets
+ *  sink to the far tier only while DDR is under pressure — with room
+ *  on DDR they stop there too (see classify_tiered). */
 enum class TierVerdict : std::uint8_t { kStay = 0, kToFast, kToSlow, kToFar };
 
 /** Per-bucket decayed heat state. */
@@ -97,11 +98,21 @@ class RegionHeat {
      * Three-way verdict for @p bucket given the tier it lives on now
      * (tiered_memory mode). Same hysteresis reads as classify() for
      * the hot band, plus the cold band maintained by fold(): hot
-     * buckets head for the fast tier, cold buckets for the far tier,
-     * and the warm remainder rests on DDR.
+     * buckets head for the fast tier and the warm remainder rests on
+     * DDR. Cold buckets are demoted to the far tier only under DDR
+     * pressure (@p slow_has_room false): while DDR has room a cold
+     * bucket leaves SRAM for DDR and stays wherever it already sits
+     * below SRAM, so a moving hot window never pays the far tier's
+     * latency to re-touch pages it just left. A warm bucket on far
+     * returns to DDR either way.
+     *
+     * The device computes @p slow_has_room once per scan epoch and
+     * hands the same bit to both callers — the scanner's park test and
+     * the daemon's issue pass. Gating only the daemon would leave the
+     * scanner seeing work the daemon never does, so it would never park.
      */
-    TierVerdict classify_tiered(std::uint64_t bucket,
-                                HeatTier resident) const;
+    TierVerdict classify_tiered(std::uint64_t bucket, HeatTier resident,
+                                bool slow_has_room) const;
 
     const HeatBucket &bucket(std::uint64_t i) const { return buckets_[i]; }
 

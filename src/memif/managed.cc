@@ -222,6 +222,28 @@ MemifDevice::scan_epoch(bool *any_accessed, bool *has_work,
     const sim::CostModel &cm = kernel_.costs();
     sim::Duration cost = 0;
     ++stats_.heat_scans;
+    if (daemon_tiered()) {
+        // DDR pressure, sampled once per epoch: the scanner's park
+        // test below and every daemon pass until the next epoch read
+        // this one bit, so both agree on what counts as work. DDR is
+        // pressured once its free frames fall to a quarter of the node.
+        // Frames parked in this device's DDR magazines are free for its
+        // next migration, so they count as room.
+        constexpr std::uint64_t kDdrRoomFraction = 4;
+        const mem::NodeId slow = kernel_.slow_node();
+        const mem::MemoryNode &ddr = kernel_.phys().node(slow);
+        std::uint64_t free = ddr.free_frames();
+        for (const auto &[key, mag] : magazines_)
+            if (key.first == slow)
+                free += std::uint64_t{mag.size()} << key.second;
+        slow_has_room_ = free > ddr.num_frames() / kDdrRoomFraction;
+        if (!slow_has_room_) {
+            ++stats_.ddr_pressure_epochs;
+            kernel_.tracer().record(kernel_.eq().now(),
+                                    sim::TracePoint::kDdrPressure,
+                                    ExecContext::kKthread);
+        }
+    }
     for (const auto &mrp : managed_) {
         ManagedRegion &mr = *mrp;
         std::uint64_t region_rearmed = 0;
@@ -290,13 +312,15 @@ MemifDevice::scan_epoch(bool *any_accessed, bool *has_work,
             // down rather than park with stale pages on the fast node.
             if (mr.heat.bucket(b).hot) *still_hot = true;
             if (mr.cooldown[b] > 0) continue;
-            // Tiered mode asks the three-way classifier: a warm-band
-            // bucket parked on the far tier (or a cold one on DDR) is
-            // work the two-way verdict cannot see, and a parked scanner
-            // would strand it there.
+            // Tiered mode asks the three-way classifier, with the same
+            // pressure bit the daemon reads: a warm-band bucket parked
+            // on the far tier (or, under DDR pressure, a cold one on
+            // DDR) is work the two-way verdict cannot see, and a parked
+            // scanner would strand it there.
             const bool stay =
                 daemon_tiered()
-                    ? mr.heat.classify_tiered(b, bucket_tier(mr, b)) ==
+                    ? mr.heat.classify_tiered(b, bucket_tier(mr, b),
+                                              slow_has_room_) ==
                           TierVerdict::kStay
                     : mr.heat.classify(b, bucket_resident_fast(mr, b)) ==
                           HeatVerdict::kStay;
@@ -413,7 +437,8 @@ MemifDevice::daemon_issue_pass()
                 mem::NodeId dst;
                 if (daemon_tiered()) {
                     const HeatTier tier = bucket_tier(mr, b);
-                    const TierVerdict v = mr.heat.classify_tiered(b, tier);
+                    const TierVerdict v =
+                        mr.heat.classify_tiered(b, tier, slow_has_room_);
                     if (v == TierVerdict::kStay) continue;
                     dst = v == TierVerdict::kToFast ? kernel_.fast_node()
                           : v == TierVerdict::kToSlow

@@ -27,6 +27,7 @@ to_string(TracePoint p)
       case TracePoint::kDmaRetry: return "dma-retry";
       case TracePoint::kFallbackCopy: return "fallback-copy";
       case TracePoint::kDmaFailed: return "dma-failed";
+      case TracePoint::kDdrPressure: return "ddr-pressure";
       default: return "?";
     }
 }

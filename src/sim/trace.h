@@ -42,6 +42,7 @@ enum class TracePoint : std::uint8_t {
     kDmaRetry,       ///< transfer restarted after backoff
     kFallbackCopy,   ///< degraded to the CPU byte-copy path
     kDmaFailed,      ///< unrecoverable DMA failure (rolled back)
+    kDdrPressure,    ///< scan epoch found DDR under its watermark
 };
 
 /** Human-readable name of a trace point. */

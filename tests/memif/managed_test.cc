@@ -77,53 +77,66 @@ TEST(HeatPolicy, AgingPromotesOnRecencyAndDecaysToDemote)
 
 // The tiered daemon's three-way verdict: the aging cold band enters at
 // age <= 0x02 and leaves only at age >= 0x08, a hot bucket is never
-// cold, and each band maps to its tier.
+// cold, and each band maps to its tier. The DDR pressure bit gates
+// only the cold band: with room on DDR a cold bucket stops there, and
+// only a pressured DDR sends it on to the far tier.
 TEST(HeatPolicy, AgingColdBandDrivesTheTieredVerdict)
 {
     HeatConfig hc;
     hc.aging_promote_threshold = 0xC0;  // two touched epochs to go hot
     RegionHeat heat(hc, 8);
     ASSERT_EQ(heat.num_buckets(), 1u);
-    auto verdicts = [&heat] {
+    auto verdicts = [&heat](bool slow_has_room) {
         return std::vector<TierVerdict>{
-            heat.classify_tiered(0, HeatTier::kFast),
-            heat.classify_tiered(0, HeatTier::kSlow),
-            heat.classify_tiered(0, HeatTier::kFar)};
+            heat.classify_tiered(0, HeatTier::kFast, slow_has_room),
+            heat.classify_tiered(0, HeatTier::kSlow, slow_has_room),
+            heat.classify_tiered(0, HeatTier::kFar, slow_has_room)};
     };
     const std::vector<TierVerdict> warm = {
         TierVerdict::kToSlow, TierVerdict::kStay, TierVerdict::kToSlow};
-    const std::vector<TierVerdict> cold = {
+    const std::vector<TierVerdict> cold_pressured = {
         TierVerdict::kToFar, TierVerdict::kToFar, TierVerdict::kStay};
+    const std::vector<TierVerdict> cold_roomy = {
+        TierVerdict::kToSlow, TierVerdict::kStay, TierVerdict::kStay};
     const std::vector<TierVerdict> hot = {
         TierVerdict::kStay, TierVerdict::kToFast, TierVerdict::kToFast};
+    // Hot and warm rows ignore the pressure bit.
+    auto expect_either_way = [&](const std::vector<TierVerdict> &want) {
+        EXPECT_EQ(verdicts(true), want);
+        EXPECT_EQ(verdicts(false), want);
+    };
+    auto expect_cold = [&] {
+        EXPECT_EQ(verdicts(true), cold_roomy);
+        EXPECT_EQ(verdicts(false), cold_pressured);
+    };
 
     // One touch: 0x80 is below the promote threshold, so warm.
     heat.fold(0, 8, 0, 8);
-    EXPECT_EQ(verdicts(), warm);
+    expect_either_way(warm);
     // Decay to 0x08 (the exit edge) and 0x04 (inside the band): a
     // bucket that was never cold stays warm there.
     for (int e = 0; e < 5; ++e) heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x04);
     EXPECT_FALSE(heat.bucket(0).cold);
-    EXPECT_EQ(verdicts(), warm);
+    expect_either_way(warm);
     // 0x02 enters the cold band; further decay keeps it there.
     heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x02);
     EXPECT_TRUE(heat.bucket(0).cold);
-    EXPECT_EQ(verdicts(), cold);
+    expect_cold();
     heat.fold(0, 0, 0, 8);
     heat.fold(0, 0, 0, 8);
     EXPECT_EQ(heat.bucket(0).age, 0x00);
-    EXPECT_EQ(verdicts(), cold);
+    expect_cold();
     // A touch lifts the age to 0x80 >= 0x08: out of the cold band, but
     // one epoch is not hot, so a far-resident bucket stops at DDR.
     heat.fold(0, 8, 0, 8);
     EXPECT_FALSE(heat.bucket(0).cold);
-    EXPECT_EQ(verdicts(), warm);
+    expect_either_way(warm);
     // A second touch (0xC0) is hot: everything heads for the fast tier.
     heat.fold(0, 8, 0, 8);
     EXPECT_TRUE(heat.bucket(0).hot);
-    EXPECT_EQ(verdicts(), hot);
+    expect_either_way(hot);
 
     // A hot bucket is never cold, even at an age inside the cold band:
     // with promote at 0x01, decay reaches 0x02 while still hot.
@@ -135,13 +148,19 @@ TEST(HeatPolicy, AgingColdBandDrivesTheTieredVerdict)
     EXPECT_EQ(h2.bucket(0).age, 0x02);
     EXPECT_TRUE(h2.bucket(0).hot);
     EXPECT_FALSE(h2.bucket(0).cold);
-    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFar), TierVerdict::kToFast);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFar, true),
+              TierVerdict::kToFast);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFar, false),
+              TierVerdict::kToFast);
     // Once it decays out of the hot band (age 0 < 0x10) it is cold.
     h2.fold(0, 0, 0, 8);
     h2.fold(0, 0, 0, 8);
     EXPECT_FALSE(h2.bucket(0).hot);
     EXPECT_TRUE(h2.bucket(0).cold);
-    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFast), TierVerdict::kToFar);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFast, false),
+              TierVerdict::kToFar);
+    EXPECT_EQ(h2.classify_tiered(0, HeatTier::kFast, true),
+              TierVerdict::kToSlow);
 }
 
 TEST(HeatPolicy, BucketGeometryAndHistogram)

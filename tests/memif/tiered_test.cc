@@ -17,6 +17,8 @@
 #include "memif/user_api.h"
 #include "os/kernel.h"
 #include "os/process.h"
+#include "sim/task.h"
+#include "sim/trace.h"
 #include "sim/types.h"
 
 namespace memif::core {
@@ -44,8 +46,11 @@ struct Fixture {
     MemifUser user;
 
     explicit Fixture(MemifConfig cfg = tiered_cfg(),
-                     std::uint64_t far_bytes = 64ull << 20)
-        : kernel(os::KernelConfig{.far_bytes = far_bytes}),
+                     std::uint64_t far_bytes = 64ull << 20,
+                     std::uint64_t slow_bytes =
+                         mem::KeystoneMemory::kDefaultSlowBytes)
+        : kernel(os::KernelConfig{.slow_bytes = slow_bytes,
+                                  .far_bytes = far_bytes}),
           proc(kernel.create_process()),
           dev(kernel, proc, cfg),
           user(dev)
@@ -301,6 +306,152 @@ TEST(Tiered, PersistentHopErrorFallsBackToCpuCopy)
     f.expect_on_node(base, 8, f.kernel.far_node());
     EXPECT_EQ(f.dev.stats().hop_fallback_copies, 2u);  // one per hop
     EXPECT_EQ(f.dev.stats().chain_rollbacks, 0u);
+}
+
+// ---------------------------------------------------------------------
+// The managed daemon's three-way verdict under DDR pressure.
+// ---------------------------------------------------------------------
+
+/** tiered() with test-sized scan epochs: the daemon runs on top of
+ *  the chained-migration levers. */
+MemifConfig
+managed_tiered_cfg()
+{
+    MemifConfig cfg = MemifConfig::tiered();
+    cfg.heat_scan_interval = sim::microseconds(100);
+    return cfg;
+}
+
+/** Touch pages [first, first + pages) of @p base once per scan epoch,
+ *  @p epochs times; no touch may find a page unmapped. */
+sim::Task
+touch_window(Fixture &f, vm::VAddr base, std::uint32_t first,
+             std::uint32_t pages, std::uint32_t epochs, bool *all_ok)
+{
+    for (std::uint32_t e = 0; e < epochs; ++e) {
+        for (std::uint32_t p = first; p < first + pages; ++p) {
+            os::TouchOutcome t;
+            co_await f.proc.touch(base + std::uint64_t{p} * 4096, false,
+                                  &t);
+            if (t.result == vm::AccessResult::kNotPresent) *all_ok = false;
+        }
+        co_await sim::Delay{f.kernel.eq(), sim::microseconds(100)};
+    }
+}
+
+/** A hot window swept for a while, then moved to a second window. */
+sim::Task
+moving_window(Fixture &f, vm::VAddr base, bool *all_ok)
+{
+    co_await touch_window(f, base, 0, 16, 12, all_ok);
+    co_await touch_window(f, base, 32, 16, 12, all_ok);
+}
+
+/** Run until the event queue drains, giving up at @p bound of virtual
+ *  time: a scanner that never parks fails the caller instead of
+ *  hanging it. */
+bool
+runs_to_quiescence(Fixture &f, sim::Duration bound)
+{
+    f.kernel.run_until(bound);
+    return f.kernel.eq().empty();
+}
+
+std::uint64_t
+pages_on(Fixture &f, vm::VAddr base, std::uint64_t npages, mem::NodeId n)
+{
+    const vm::Vma *vma = f.proc.as().find_vma(base);
+    std::uint64_t count = 0;
+    for (std::uint64_t i = 0; i < npages; ++i)
+        if (f.kernel.phys().node_of(vma->pte(i).pfn) == n) ++count;
+    return count;
+}
+
+TEST(Tiered, RoomyDdrKeepsColdBucketsOffTheFarTier)
+{
+    // 256 MB of DDR holds the whole set many times over: no scan epoch
+    // is pressured, so buckets the hot window left go SRAM -> DDR and
+    // stay there; nothing is demoted to the far tier.
+    Fixture f{managed_tiered_cfg()};
+    const std::uint32_t pages = 64;  // 8 buckets
+    const vm::VAddr base =
+        f.proc.mmap(pages * 4096, vm::PageSize::k4K, f.kernel.slow_node());
+    f.fill(base, pages * 4096, 31);
+    ASSERT_TRUE(f.dev.manage_region(base));
+
+    bool all_ok = true;
+    f.kernel.spawn(moving_window(f, base, &all_ok));
+    ASSERT_TRUE(runs_to_quiescence(f, sim::milliseconds(50)));
+
+    const DeviceStats &ds = f.dev.stats();
+    EXPECT_TRUE(all_ok);
+    EXPECT_GT(ds.promotions_completed, 0u) << "the window never went hot";
+    EXPECT_GT(ds.demotions_completed, 0u);
+    EXPECT_EQ(ds.ddr_pressure_epochs, 0u);
+    EXPECT_EQ(ds.demotions_to_far, 0u);
+    EXPECT_EQ(ds.promotions_from_far, 0u);
+    // Both windows cooled off SRAM and came to rest on DDR.
+    EXPECT_EQ(pages_on(f, base, pages, f.kernel.slow_node()), pages);
+    EXPECT_TRUE(f.check(base, pages * 4096, 31));
+}
+
+TEST(Tiered, SqueezedDdrDemotesColdBucketsToFar)
+{
+    // 2 MB of DDR, 384 pages of it managed: the set alone leaves DDR
+    // under its free-frame watermark, so cold buckets sink to the far
+    // tier until DDR has room again.
+    Fixture f{managed_tiered_cfg(), 64ull << 20, 2ull << 20};
+    f.kernel.tracer().enable();
+    const std::uint32_t pages = 384;
+    const vm::VAddr base =
+        f.proc.mmap(pages * 4096, vm::PageSize::k4K, f.kernel.slow_node());
+    ASSERT_NE(base, 0u);
+    f.fill(base, pages * 4096, 47);
+    ASSERT_TRUE(f.dev.manage_region(base));
+
+    bool all_ok = true;
+    f.kernel.spawn(moving_window(f, base, &all_ok));
+    ASSERT_TRUE(runs_to_quiescence(f, sim::milliseconds(50)));
+    // The app still allocates on DDR once the daemon is done: demotion
+    // to far made room rather than consuming it.
+    const vm::VAddr more =
+        f.proc.mmap(64 * 4096, vm::PageSize::k4K, f.kernel.slow_node());
+    EXPECT_NE(more, 0u);
+
+    const DeviceStats &ds = f.dev.stats();
+    EXPECT_TRUE(all_ok);
+    EXPECT_GT(ds.ddr_pressure_epochs, 0u);
+    EXPECT_GT(ds.demotions_to_far, 0u);
+    EXPECT_GT(pages_on(f, base, pages, f.kernel.far_node()), 0u);
+    EXPECT_TRUE(f.check(base, pages * 4096, 47));
+    // Every pressured epoch left one mark on the trace.
+    std::uint64_t traced = 0;
+    for (const sim::TraceRecord &r : f.kernel.tracer().records())
+        if (r.point == sim::TracePoint::kDdrPressure) ++traced;
+    EXPECT_EQ(traced, ds.ddr_pressure_epochs);
+}
+
+TEST(Tiered, IdleScannerParksWhileDdrHasRoom)
+{
+    // One touch, then silence. With room on DDR the cooled buckets'
+    // verdict is kStay for the scanner and the daemon alike, so the
+    // scanner parks and the event queue drains. A scanner that saw a
+    // far verdict the daemon refused would run forever.
+    Fixture f{managed_tiered_cfg()};
+    const std::uint32_t pages = 32;
+    const vm::VAddr base =
+        f.proc.mmap(pages * 4096, vm::PageSize::k4K, f.kernel.slow_node());
+    f.fill(base, pages * 4096, 59);
+    ASSERT_TRUE(f.dev.manage_region(base));
+
+    bool all_ok = true;
+    f.kernel.spawn(touch_window(f, base, 0, pages, 1, &all_ok));
+    EXPECT_TRUE(runs_to_quiescence(f, sim::milliseconds(20)))
+        << "scanner still running after 200 scan epochs";
+    EXPECT_TRUE(all_ok);
+    EXPECT_EQ(f.dev.stats().demotions_to_far, 0u);
+    EXPECT_EQ(pages_on(f, base, pages, f.kernel.slow_node()), pages);
+    EXPECT_TRUE(f.check(base, pages * 4096, 59));
 }
 
 TEST(Tiered, LeverOffNeverChains)

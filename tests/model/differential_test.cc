@@ -1,8 +1,9 @@
 /**
  * @file
  * The differential suite proper: seeded random workloads replayed
- * through all eight presets (levers-off, pipelined, moderated, scaled,
- * tenanted, managed, tiered, strided) must match the reference model
+ * through all nine presets (levers-off, pipelined, moderated, scaled,
+ * tenanted, managed, tiered, tiered-squeezed, strided) must match the
+ * reference model
  * byte-for-byte and leave the driver fully quiesced — under FIFO
  * scheduling, fuzzed schedules, injected faults, invalidation storms
  * racing TLB shootdowns against the gang translation cache, and
@@ -58,8 +59,7 @@ TEST(Differential, AllPresetsMatchTheModel)
         std::uint64_t mem_digest = 0;
         const char *digest_from = nullptr;
         for (const Preset &p : presets()) {
-            RunOptions opt;
-            opt.config = p.config;
+            RunOptions opt = preset_options(p);
             const RunResult r = run_workload(w, opt);
             ASSERT_TRUE(r.ok)
                 << "preset " << p.name << ": " << r.failure << "\n"
@@ -87,8 +87,7 @@ TEST(Differential, FuzzedSchedulesMatchTheModel)
         for (const Preset &p : presets()) {
             std::uint64_t fifo_digest = 0;
             for (std::uint64_t sched : {0ull, 11ull, 97ull}) {
-                RunOptions opt;
-                opt.config = p.config;
+                RunOptions opt = preset_options(p);
                 opt.schedule_seed = sched;
                 const RunResult r = run_workload(w, opt);
                 ASSERT_TRUE(r.ok)
@@ -111,8 +110,7 @@ TEST(Differential, FaultedRunsMatchTheModel)
     for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
         const Workload w = generate_workload(seed);
         for (const Preset &p : presets()) {
-            RunOptions opt;
-            opt.config = p.config;
+            RunOptions opt = preset_options(p);
             opt.arm_faults = true;
             opt.schedule_seed = seed * 3 + 1;
             const RunResult r = run_workload(w, opt);
@@ -145,8 +143,7 @@ TEST(Differential, PinnedFaultedSeedPairRegressions)
                 return std::string(p.name) == pin.preset;
             });
         ASSERT_NE(it, presets().end()) << pin.preset;
-        RunOptions opt;
-        opt.config = it->config;
+        RunOptions opt = preset_options(*it);
         opt.arm_faults = true;
         opt.schedule_seed = pin.schedule_seed;
         const RunResult r = run_workload(w, opt);
@@ -159,8 +156,7 @@ TEST(Differential, ReplayIsBitIdentical)
 {
     const Workload w = generate_workload(12345);
     for (const Preset &p : presets()) {
-        RunOptions opt;
-        opt.config = p.config;
+        RunOptions opt = preset_options(p);
         opt.schedule_seed = 777;
         opt.arm_faults = true;
         const RunResult a = run_workload(w, opt);
@@ -254,8 +250,7 @@ TEST(Differential, InvalidationStormsMatchTheModel)
         std::uint64_t mem_digest = 0;
         const char *digest_from = nullptr;
         for (const Preset &p : presets()) {
-            RunOptions opt;
-            opt.config = p.config;
+            RunOptions opt = preset_options(p);
             opt.schedule_seed = seed * 7 + 3;
             const RunResult r = run_workload(w, opt);
             ASSERT_TRUE(r.ok)
@@ -294,8 +289,7 @@ TEST(Differential, StridedWorkloadsMatchTheModel)
             generate_workload(seed, /*invalidation_storm=*/false,
                               /*heat_churn=*/false, /*strided=*/true);
         for (std::uint64_t sched : {0ull, 29ull}) {
-            RunOptions opt;
-            opt.config = p.config;
+            RunOptions opt = preset_options(p);
             opt.schedule_seed = sched;
             const RunResult r = run_workload(w, opt);
             ASSERT_TRUE(r.ok)
@@ -329,8 +323,7 @@ TEST(Differential, StridedFaultedRunsMatchTheModel)
         const Workload w =
             generate_workload(seed, /*invalidation_storm=*/false,
                               /*heat_churn=*/false, /*strided=*/true);
-        RunOptions opt;
-        opt.config = p.config;
+        RunOptions opt = preset_options(p);
         opt.arm_faults = true;
         opt.schedule_seed = seed * 5 + 2;
         const RunResult r = run_workload(w, opt);
@@ -358,8 +351,7 @@ TEST(Differential, HeatChurnDrivesTheManagedDaemon)
         std::uint64_t mem_digest = 0;
         const char *digest_from = nullptr;
         for (const Preset &p : presets()) {
-            RunOptions opt;
-            opt.config = p.config;
+            RunOptions opt = preset_options(p);
             opt.schedule_seed = seed * 13 + 5;
             const RunResult r = run_workload(w, opt);
             ASSERT_TRUE(r.ok)
@@ -389,6 +381,47 @@ TEST(Differential, HeatChurnDrivesTheManagedDaemon)
         << "managed preset never ran a heat-scan epoch";
     EXPECT_GT(daemon_movs, 0u)
         << "managed preset's daemon never issued a migration";
+}
+
+// The daemon's far verdict is gated on DDR pressure. On the default
+// 256 MB DDR no epoch is ever pressured, so the tiered preset's daemon
+// must never demote to far; tiered-squeezed crowds DDR under the
+// watermark, so across the sweep its daemon must. Both the plain and
+// the heat-churn workloads run, so the far verdict stays covered with
+// the hot window live as well as idle.
+TEST(Differential, DaemonDemotesToFarOnlyUnderDdrPressure)
+{
+    const std::uint64_t nseeds = seeds_from_env(16) / 2 + 1;
+    struct Sums {
+        std::uint64_t pressured = 0, to_far = 0;
+    } roomy, squeezed;
+    for (std::uint64_t seed = 1; seed <= nseeds; ++seed) {
+        for (const bool churn : {false, true}) {
+            const Workload w = generate_workload(
+                seed, /*invalidation_storm=*/false, churn);
+            for (const Preset &p : presets()) {
+                const std::string name = p.name;
+                if (name != "tiered" && name != "tiered-squeezed")
+                    continue;
+                RunOptions opt = preset_options(p);
+                opt.schedule_seed = seed * 17 + 9;
+                const RunResult r = run_workload(w, opt);
+                ASSERT_TRUE(r.ok)
+                    << "preset " << p.name << ": " << r.failure << "\n"
+                    << diagnose(w, opt);
+                Sums &s = name == "tiered" ? roomy : squeezed;
+                s.pressured += r.stats.ddr_pressure_epochs;
+                s.to_far += r.stats.demotions_to_far;
+            }
+        }
+    }
+    EXPECT_EQ(roomy.pressured, 0u);
+    EXPECT_EQ(roomy.to_far, 0u)
+        << "the daemon demoted to far while DDR had room";
+    EXPECT_GT(squeezed.pressured, 0u)
+        << "tiered-squeezed never put DDR under the watermark";
+    EXPECT_GT(squeezed.to_far, 0u)
+        << "the daemon never demoted to far under DDR pressure";
 }
 
 }  // namespace
